@@ -71,8 +71,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    frames = load_frames(args.frames)
-    truth = load_truth(args.truth)
+    # Every input is checked before the first frame is tracked.
     spec = load_object_spec(args.frames)
     model = build_model(spec)
     overrides = json.loads(Path(args.config).read_text()) if args.config else {}
@@ -80,16 +79,27 @@ def _cmd_track(args) -> int:
         "partition_mode",
         "parallel" if args.resampler == "combinatorial" else "singleton",
     )
-    cfg = TrackerConfig(
-        particle_count=args.particles,
-        resampler=args.resampler,
-        sigma_xy=float(overrides.get("sigma_xy", spec.sigma_xy)),
-        sigma_theta=float(overrides.get("sigma_theta", spec.sigma_theta)),
-        lam=float(overrides.get("lam", 50.0)),
-        weighted_exponent=float(overrides.get("weighted_exponent", 20.0)),
-        partition_mode=mode,
-        seed=args.seed,
-    )
+    try:
+        cfg = TrackerConfig(
+            particle_count=args.particles,
+            resampler=args.resampler,
+            sigma_xy=float(overrides.get("sigma_xy", spec.sigma_xy)),
+            sigma_theta=float(overrides.get("sigma_theta", spec.sigma_theta)),
+            lam=float(overrides.get("lam", 50.0)),
+            weighted_exponent=float(overrides.get("weighted_exponent", 20.0)),
+            partition_mode=mode,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise ConfigError(f"bad tracker settings: {exc}") from exc
+    frames = load_frames(args.frames)
+    truth = load_truth(args.truth)
+    expected = (len(frames), spec.part_count, 3)
+    if truth.shape != expected:
+        raise ConfigError(
+            f"{args.truth}: ground truth has shape {truth.shape}, but {len(frames)} frames "
+            f"of a {spec.part_count}-part object need {expected}"
+        )
     result = track_sequence(frames, truth[0], model, cfg, truth=truth)
     print(f"frames:               {len(frames)}")
     print(f"resampler:            {cfg.resampler} ({cfg.partition_mode} partition)")

@@ -90,6 +90,23 @@ def place_polygon(model: ArticulatedModel, k: int, state) -> np.ndarray:
     )
 
 
+def place_polygons(model: ArticulatedModel, k: int, states) -> np.ndarray:
+    """Corners (N, 4, 2) of part k at every (x, y, theta) row of ``states``.
+
+    Row i equals ``place_polygon(model, k, states[i])`` bit for bit: the same
+    float expressions, with cosines and sines taken from ``math`` as there.
+    """
+    states = np.asarray(states, dtype=float)
+    theta = states[:, 2].tolist()
+    c = np.array([math.cos(t) for t in theta])[:, None]
+    s = np.array([math.sin(t) for t in theta])[:, None]
+    local = _CORNERS * (model.lengths[k - 1], model.widths[k - 1])
+    x, y = states[:, 0, None], states[:, 1, None]
+    return np.stack(
+        (x + local[:, 0] * c - local[:, 1] * s, y + local[:, 0] * s + local[:, 1] * c), axis=2
+    )
+
+
 def object_corners(model: ArticulatedModel, state: ObjectState) -> np.ndarray:
     """Corners of every part, shape (P, 4, 2)."""
     state = np.asarray(state, dtype=float)
@@ -219,6 +236,37 @@ def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.
     return mask
 
 
+def polygon_masks(
+    corners: np.ndarray, x0: np.ndarray, y0: np.ndarray, nx: np.ndarray, ny: np.ndarray
+) -> np.ndarray:
+    """Fills of N polygons at once over one padded window, shape
+    (N, max ny, max nx).
+
+    Entry i is ``polygon_mask(corners[i], x0[i], y0[i], nx[i], ny[i])`` in its
+    top-left corner, bit for bit: the same crossing rule and float
+    expressions, each polygon on its own grid origin.  Padded cells are never
+    set: their rows get no crossing and their columns a centre at +inf.
+    """
+    n, m = corners.shape[:2]
+    rows = np.arange(int(ny.max(initial=0)))
+    cols = np.arange(int(nx.max(initial=0)))
+    yc = y0[:, None] + rows + 0.5
+    xc = np.where(cols < nx[:, None], x0[:, None] + cols + 0.5, np.inf)
+    padded = rows >= ny[:, None]
+    mask = np.zeros((n, len(rows), len(cols)), dtype=bool)
+    crossed = np.empty_like(mask)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for e in range(m):
+            x1, y1 = corners[:, e, 0, None], corners[:, e, 1, None]
+            x2, y2 = corners[:, (e + 1) % m, 0, None], corners[:, (e + 1) % m, 1, None]
+            spans = ((y1 <= yc) & (yc < y2)) | ((y2 <= yc) & (yc < y1))
+            xint = x1 + (yc - y1) / (y2 - y1) * (x2 - x1)
+            xint[~spans | padded] = -np.inf
+            np.less(xc[:, None, :], xint[:, :, None], out=crossed)
+            mask ^= crossed
+    return mask
+
+
 def polygon_bbox(corners: np.ndarray, width: int, height: int) -> tuple[int, int, int, int]:
     """Pixel block (x0, y0, nx, ny) covering the polygon, clipped to canvas."""
     x0 = max(0, int(math.floor(corners[:, 0].min() - 0.5)))
@@ -226,6 +274,21 @@ def polygon_bbox(corners: np.ndarray, width: int, height: int) -> tuple[int, int
     x1 = min(width - 1, int(math.ceil(corners[:, 0].max() + 0.5)))
     y1 = min(height - 1, int(math.ceil(corners[:, 1].max() + 0.5)))
     return x0, y0, max(0, x1 - x0 + 1), max(0, y1 - y0 + 1)
+
+
+def polygon_bboxes(corners: np.ndarray, width: int, height: int):
+    """``polygon_bbox`` of N polygons, corners (N, 4, 2): int arrays
+    (x0, y0, nx, ny).  Origins are clipped to the canvas size too, which only
+    moves blocks that are empty anyway."""
+    lo = np.floor(corners.min(axis=1) - 0.5)
+    hi = np.ceil(corners.max(axis=1) + 0.5)
+    size = np.array([width, height])
+    start = np.clip(lo, 0, size)
+    stop = np.minimum(hi, size - 1)
+    extent = np.maximum(0, stop - start + 1)
+    x0, y0 = start.astype(np.intp).T
+    nx, ny = extent.astype(np.intp).T
+    return x0, y0, nx, ny
 
 
 def part_intensity(k: int, part_count: int) -> int:

@@ -14,21 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbn import DbnSpec, Partition, compute_partition
-from .geometry import (
-    ArticulatedModel,
-    ObjectState,
-    estimation_error,
-    place_polygon,
-    wrap_angle,
-)
-from .likelihood import (
-    Histogram8,
-    LikelihoodParams,
-    bhattacharyya,
-    init_references,
-    part_weight_factor,
-    region_histogram,
-)
+from .geometry import ArticulatedModel, ObjectState, estimation_error, place_polygons, wrap_angle
+from .likelihood import Histogram8, init_references, part_factors
+
+# The scalar scoring path that ``part_factors`` reproduces bit for bit stays
+# importable here, so tools that wrap the tracker's helpers by name find it.
+from .geometry import place_polygon  # noqa: F401
+from .likelihood import bhattacharyya, part_weight_factor, region_histogram  # noqa: F401
 from .resampling import (
     ParticleSet,
     combinatorial_resample,
@@ -90,6 +82,8 @@ class TrackerConfig:
             raise ValueError("combinatorial resampling needs the parallel partition")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
+        if not self.lam >= 0:  # also rejects NaN
+            raise ValueError("lam must be >= 0")
 
 
 def partition_for(spec: DbnSpec, mode: str) -> Partition:
@@ -134,7 +128,8 @@ def correct_part(
 ) -> ParticleSet:
     """Score part k of every particle against its reference histogram.
 
-    Stores exp(-lam d^2) as the part's weight factor and renormalizes the
+    All particles are scored in one batched pass (``part_factors``).  Stores
+    exp(-lam d^2) as the part's weight factor and renormalizes the
     total weights.  Totals are rebuilt as (weights at the first correction
     since the last resample) x (accrued factors, multiplied in ascending part
     order), which equals multiply-and-renormalize but cannot depend on the
@@ -147,13 +142,8 @@ def correct_part(
         raise AlreadyProcessed(f"part {k} was already corrected at this stage")
     if pset.stage_base is None:
         pset.stage_base = pset.weights.copy()
-    params = LikelihoodParams(cfg.lam)
-    ref = refs[k - 1]
-    factors = np.empty(pset.n)
-    for i in range(pset.n):
-        hist = region_histogram(frame, place_polygon(model, k, pset.states[i, k - 1]))
-        factors[i] = part_weight_factor(bhattacharyya(hist, ref), params)
-    pset.part_weights[:, k - 1] = factors
+    corners = place_polygons(model, k, pset.states[:, k - 1])
+    pset.part_weights[:, k - 1] = part_factors(frame, corners, refs[k - 1], cfg.lam)
     pset.fresh = tuple(sorted((*pset.fresh, k)))
     w = pset.stage_base.copy()
     for kk in pset.fresh:

@@ -315,7 +315,7 @@ def test_criterion_7_combinatorial_beats_multinomial(monkeypatch):
             diffs.extend((mult - comb).tolist())
         pvalue = stats.ttest_1samp(np.array(diffs), 0.0, alternative="greater").pvalue
         assert pvalue < 0.05
-        assert time.perf_counter() - start < 900.0
+        assert time.perf_counter() - start < 300.0
 
 
 def test_criterion_8_zero_noise_zero_error(tmp_path):

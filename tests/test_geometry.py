@@ -15,8 +15,11 @@ from crtrack.geometry import (
     object_corners,
     part_intensity,
     place_polygon,
+    place_polygons,
     polygon_bbox,
+    polygon_bboxes,
     polygon_mask,
+    polygon_masks,
     render_frame,
     tip_point,
     wrap_angle,
@@ -281,6 +284,65 @@ class TestRasterization:
         x0, y0, nx, ny = polygon_bbox(corners, 10, 10)
         assert (x0, y0) == (0, 0)
         assert nx <= 10 and ny <= 10
+
+
+# Quarter-pixel coordinates put corners, edges and pixel centres on one
+# another's lines, where the half-open crossing rule decides.
+quarter_pixels = st.integers(-40, 120).map(lambda v: v / 4.0)
+quads = st.lists(st.tuples(quarter_pixels, quarter_pixels), min_size=4, max_size=4).map(np.array)
+free_corner = st.tuples(st.floats(-12, 32), st.floats(-12, 32))
+any_quads = st.one_of(quads, st.lists(free_corner, min_size=4, max_size=4).map(np.array))
+
+
+class TestBatchedGeometry:
+    """The batched helpers equal their scalar counterparts bit for bit."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-50, 150),
+                st.floats(-50, 150),
+                st.one_of(
+                    st.sampled_from((0.0, math.pi / 2, -math.pi / 2, math.pi)),
+                    st.floats(-math.pi, math.pi, exclude_min=True),
+                ),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.floats(0.5, 30.0),
+        st.floats(0.5, 12.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_place_polygons_matches_place_polygon(self, rows, length, width):
+        model = chain_model(1, length, width)
+        states = np.array(rows)
+        got = place_polygons(model, 1, states)
+        assert got.shape == (len(rows), 4, 2)
+        for i, row in enumerate(states):
+            want = place_polygon(model, 1, row)
+            np.testing.assert_array_equal(got[i].view(np.int64), want.view(np.int64))
+
+    @given(st.lists(any_quads, min_size=1, max_size=8), st.integers(1, 24), st.integers(1, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_masks_and_bboxes_match_the_scalar_fill(self, polys, width, height):
+        corners = np.stack(polys)
+        x0, y0, nx, ny = polygon_bboxes(corners, width, height)
+        masks = polygon_masks(corners, x0, y0, nx, ny)
+        for i, c in enumerate(corners):
+            bx, by, bnx, bny = polygon_bbox(c, width, height)
+            assert (nx[i], ny[i]) == (bnx, bny)
+            if bnx and bny:
+                assert (x0[i], y0[i]) == (bx, by)
+            expected = np.zeros(masks.shape[1:], dtype=bool)
+            expected[:bny, :bnx] = polygon_mask(c, bx, by, bnx, bny)
+            np.testing.assert_array_equal(masks[i], expected)
+
+    def test_all_blocks_empty(self):
+        corners = np.array([[(-9.0, -9.0), (-5.0, -9.0), (-5.0, -5.0), (-9.0, -5.0)]] * 3)
+        x0, y0, nx, ny = polygon_bboxes(corners, 10, 10)
+        np.testing.assert_array_equal(nx, 0)
+        assert polygon_masks(corners, x0, y0, nx, ny).shape == (3, 0, 0)
 
 
 class TestIntensity:

@@ -389,3 +389,51 @@ class TestCli:
         rc = main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestTrackRejectsBadInput:
+    """``crtrack track`` exits with code 2 and an ``error:`` line, before
+    tracking a single frame, when the tracker settings or the ground truth
+    cannot work."""
+
+    @pytest.fixture
+    def seq(self, tmp_path, monkeypatch):
+        def no_tracking(*args, **kwargs):
+            raise AssertionError("bad input reached the tracker")
+
+        monkeypatch.setattr("crtrack.cli.track_sequence", no_tracking)
+        return generate_sequence(tiny_spec(frame_count=5), tmp_path / "seq")
+
+    def track(self, seq, *extra, config=None):
+        argv = ["track", "--frames", str(seq), "--truth", str(seq / "truth.csv"), *extra]
+        if config is not None:
+            path = seq / "tracker.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        return main(argv)
+
+    def test_zero_particles(self, seq, capsys):
+        assert self.track(seq, "--particles", "0") == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_combinatorial_on_the_singleton_partition(self, seq, capsys):
+        rc = self.track(seq, "--resampler", "combinatorial", config={"partition_mode": "singleton"})
+        assert rc == 2
+        assert "parallel partition" in capsys.readouterr().err
+
+    def test_negative_lam(self, seq, capsys):
+        assert self.track(seq, config={"lam": -1.0}) == 2
+        assert "lam must be >= 0" in capsys.readouterr().err
+
+    def test_truth_rows_short_of_the_frames(self, seq, capsys):
+        truth = seq / "truth.csv"
+        truth.write_text("".join(truth.read_text().splitlines(keepends=True)[:3]))
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "5 frames" in err
+
+    def test_truth_parts_differ_from_the_object(self, seq, capsys):
+        obj = seq / "object.json"
+        obj.write_text(json.dumps({**json.loads(obj.read_text()), "arm_count": 3}))
+        assert self.track(seq) == 2
+        assert "4-part object" in capsys.readouterr().err

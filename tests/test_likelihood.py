@@ -7,15 +7,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crtrack.dbn import DbnSpec
-from crtrack.geometry import ArticulatedModel, default_pose, part_intensity, render_frame
+from crtrack.geometry import (
+    ArticulatedModel,
+    default_pose,
+    part_intensity,
+    place_polygon,
+    place_polygons,
+    render_frame,
+)
 from crtrack.likelihood import (
     BIN_COUNT,
     Histogram8,
     LikelihoodParams,
     bhattacharyya,
     init_references,
+    part_factors,
     part_weight_factor,
     region_histogram,
+    region_histograms,
 )
 
 from oracles import brute_force_mask
@@ -154,6 +163,118 @@ class TestPartWeightFactor:
         params = LikelihoodParams()
         factors = [part_weight_factor(d, params) for d in np.linspace(0, 1, 11)]
         assert all(a > b for a, b in zip(factors, factors[1:]))
+
+
+RIGHT_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi)
+
+
+@st.composite
+def scored_batches(draw):
+    """A random frame, one part's rectangle and a batch of its poses.
+
+    Poses mix anywhere-on-canvas placements, placements straddling one of
+    the four borders, placements fully off the canvas and, on the quarter
+    pixel grid, right-angle placements whose horizontal edges and corners
+    land on pixel-centre lines.
+    """
+    width, height = draw(st.integers(1, 48)), draw(st.integers(1, 40))
+    image = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 256, size=(height, width), dtype=np.uint8
+    )
+    quarters = st.integers(1, 80).map(lambda v: v / 4.0)
+    length, part_width = draw(st.one_of(st.floats(0.25, 20.0), quarters)), draw(quarters)
+    reach = length + part_width
+    theta = st.one_of(
+        st.sampled_from(RIGHT_ANGLES), st.floats(-math.pi, math.pi, exclude_min=True)
+    )
+
+    def near(edge):
+        return st.floats(edge - reach, edge + reach)
+
+    on_canvas = st.tuples(st.floats(0, width), st.floats(0, height), theta)
+    straddling = st.one_of(
+        st.tuples(near(0), st.floats(0, height), theta),
+        st.tuples(near(width), st.floats(0, height), theta),
+        st.tuples(st.floats(0, width), near(0), theta),
+        st.tuples(st.floats(0, width), near(height), theta),
+    )
+    off_canvas = st.tuples(
+        st.sampled_from((-reach - 1.0, width + reach + 1.0)), st.floats(-50, height + 50), theta
+    )
+    on_grid = st.tuples(
+        st.integers(-8, 4 * width + 8).map(lambda v: v / 4.0),
+        st.integers(-8, 4 * height + 8).map(lambda v: v / 4.0),
+        st.sampled_from(RIGHT_ANGLES),
+    )
+    poses = draw(
+        st.lists(st.one_of(on_canvas, straddling, off_canvas, on_grid), min_size=1, max_size=16)
+    )
+    model = ArticulatedModel.uniform(DbnSpec.chain(1), length, part_width)
+    ref_counts = np.array(draw(st.lists(st.integers(0, 9), min_size=BIN_COUNT, max_size=BIN_COUNT)))
+    ref = (
+        Histogram8(ref_counts / ref_counts.sum())
+        if ref_counts.sum()
+        else Histogram8(np.full(BIN_COUNT, 1.0 / BIN_COUNT), empty=True)
+    )
+    return image, model, np.array(poses), ref
+
+
+def scalar_factors(image, model, states, ref, lam):
+    params = LikelihoodParams(lam)
+    return np.array(
+        [
+            part_weight_factor(
+                bhattacharyya(region_histogram(image, place_polygon(model, 1, row)), ref), params
+            )
+            for row in states
+        ]
+    )
+
+
+class TestBatchedKernel:
+    """``part_factors`` against the scalar region_histogram -> bhattacharyya
+    -> part_weight_factor path, compared bit for bit."""
+
+    @given(scored_batches(), st.sampled_from((0.0, 1.0, 50.0, 200.0)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_scalar_path(self, batch, lam):
+        image, model, states, ref = batch
+        corners = place_polygons(model, 1, states)
+        hists = region_histograms(image, corners)
+        for i, row in enumerate(states):
+            want = region_histogram(image, place_polygon(model, 1, row)).bins
+            np.testing.assert_array_equal(hists[i].view(np.int64), want.view(np.int64))
+        got = part_factors(image, corners, ref, lam)
+        want = scalar_factors(image, model, states, ref, lam)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_off_canvas_batch_is_uniform(self):
+        image = np.full((10, 12), 200, dtype=np.uint8)
+        model = ArticulatedModel.uniform(DbnSpec.chain(1), 4.0, 2.0)
+        states = np.array([(-20.0, 5.0, 0.0), (40.0, 5.0, 1.0), (6.0, 60.0, -2.0)])
+        hists = region_histograms(image, place_polygons(model, 1, states))
+        np.testing.assert_array_equal(hists, np.full((3, BIN_COUNT), 1.0 / BIN_COUNT))
+
+    def test_single_particle(self):
+        image = np.random.default_rng(4).integers(0, 256, size=(30, 40), dtype=np.uint8)
+        model = ArticulatedModel.uniform(DbnSpec.chain(1), 9.0, 3.0)
+        states = np.array([(17.25, 11.5, 0.3)])
+        ref = region_histogram(image, place_polygon(model, 1, (15.0, 12.0, 0.0)))
+        got = part_factors(image, place_polygons(model, 1, states), ref, 50.0)
+        want = scalar_factors(image, model, states, ref, 50.0)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_batches_split_over_particles_match(self, monkeypatch):
+        image = np.random.default_rng(5).integers(0, 256, size=(40, 50), dtype=np.uint8)
+        model = ArticulatedModel.uniform(DbnSpec.chain(1), 12.0, 5.0)
+        rng = np.random.default_rng(6)
+        states = np.column_stack(
+            (rng.uniform(-5, 55, 40), rng.uniform(-5, 45, 40), rng.uniform(-3, 3, 40))
+        )
+        corners = place_polygons(model, 1, states)
+        whole = region_histograms(image, corners)
+        monkeypatch.setattr("crtrack.likelihood.WINDOW_CELLS", 1)
+        np.testing.assert_array_equal(region_histograms(image, corners), whole)
 
 
 class TestInitReferences:

@@ -53,6 +53,7 @@ class TestConfig:
             dict(particle_count=5, resampler="bogus"),
             dict(particle_count=5, partition_mode="bogus"),
             dict(particle_count=5, seed=-1),
+            dict(particle_count=5, lam=-1.0),
         ],
     )
     def test_rejects_bad_fields(self, kw):
