@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
-from pathlib import Path
 
 from .harness import (
     ConfigError,
@@ -16,13 +13,15 @@ from .harness import (
     emit_convergence_plot,
     generate_sequence,
     load_frames,
+    load_json,
     load_object_spec,
     load_truth,
     read_results_csv,
     run_benchmark,
+    tracker_config,
     write_results_csv,
 )
-from .tracker import RESAMPLER_NAMES, TrackerConfig, track_sequence
+from .tracker import RESAMPLER_NAMES, track_sequence
 
 # Desk scale keeps CI runs cheap; --paper-scale restores the full protocol.
 DESK_PROFILE = {
@@ -74,24 +73,8 @@ def _cmd_track(args) -> int:
     # Every input is checked before the first frame is tracked.
     spec = load_object_spec(args.frames)
     model = build_model(spec)
-    overrides = json.loads(Path(args.config).read_text()) if args.config else {}
-    mode = overrides.get(
-        "partition_mode",
-        "parallel" if args.resampler == "combinatorial" else "singleton",
-    )
-    try:
-        cfg = TrackerConfig(
-            particle_count=args.particles,
-            resampler=args.resampler,
-            sigma_xy=float(overrides.get("sigma_xy", spec.sigma_xy)),
-            sigma_theta=float(overrides.get("sigma_theta", spec.sigma_theta)),
-            lam=float(overrides.get("lam", 50.0)),
-            weighted_exponent=float(overrides.get("weighted_exponent", 20.0)),
-            partition_mode=mode,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad tracker settings: {exc}") from exc
+    overrides = load_json(args.config) if args.config else {}
+    cfg = tracker_config(spec, args.resampler, args.particles, args.seed, overrides)
     frames = load_frames(args.frames)
     truth = load_truth(args.truth)
     expected = (len(frames), spec.part_count, 3)
@@ -143,12 +126,7 @@ def _default_bench_config(args) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    if args.config:
-        config = json.loads(Path(args.config).read_text())
-    else:
-        config = _default_bench_config(args)
-    if args.workers is not None:
-        config["workers"] = args.workers
+    config = load_json(args.config) if args.config else _default_bench_config(args)
     report = run_benchmark(config)
     write_results_csv(report, args.out)
     print(f"wrote {len(report.rows)} rows to {args.out}")
@@ -202,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     ben.add_argument("--config", default=None, help="JSON benchmark config")
     ben.add_argument("--out", default="results.csv")
     ben.add_argument("--seed", type=int, default=0)
-    ben.add_argument("--workers", type=int, default=None)
     ben.add_argument("--paper-scale", action="store_true")
     ben.set_defaults(func=_cmd_bench)
 

@@ -6,8 +6,6 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -115,13 +113,39 @@ def generate_sequence(spec: SequenceSpec, out_dir) -> Path:
     return out
 
 
+def load_json(path):
+    """Parse one JSON input file; an unreadable or malformed file is a
+    ConfigError naming the file."""
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(
+            f"{path}: not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"
+        ) from exc
+
+
 def load_truth(path) -> np.ndarray:
+    """(T, P, 3) ground truth from a truth.csv; a malformed row is a
+    ConfigError naming the file and the row."""
     rows = []
     with open(path, newline="") as fh:
-        for record in csv.reader(fh):
+        reader = csv.reader(fh)
+        for record in reader:
             if not record:
                 continue
-            values = [float(v) for v in record[1:]]
+            where = f"{path}, row {reader.line_num}"
+            try:
+                values = [float(v) for v in record[1:]]
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
+            if len(values) % 3:
+                raise ConfigError(f"{where}: {len(values)} values, not x, y, theta per part")
+            if rows and len(values) != rows[0].size:
+                raise ConfigError(
+                    f"{where}: {len(values) // 3} parts, earlier rows have {len(rows[0])}"
+                )
             rows.append(np.array(values).reshape(-1, 3))
     if not rows:
         raise ConfigError(f"{path}: no ground-truth rows")
@@ -139,7 +163,50 @@ def load_object_spec(frames_dir) -> SequenceSpec:
     path = Path(frames_dir) / OBJECT_FILE
     if not path.exists():
         raise ConfigError(f"{path} not found; pass an object description via --config")
-    return SequenceSpec(**json.loads(path.read_text()))
+    try:
+        return SequenceSpec(**load_json(path))
+    except TypeError as exc:  # an unknown field, or not a JSON object
+        raise ConfigError(f"{path}: bad object description: {exc}") from exc
+
+
+TRACKER_OVERRIDES = ("sigma_xy", "sigma_theta", "lam", "weighted_exponent", "partition_mode")
+
+
+def tracker_config(
+    spec: SequenceSpec, resampler: str, particles: int, seed: int, overrides=None
+) -> TrackerConfig:
+    """Tracker settings for one run over ``spec``'s sequence.
+
+    The proposal noise defaults to the sequence's own motion noise and the
+    partition to parallel for combinatorial resampling (which needs it),
+    singleton otherwise; every other field keeps its ``TrackerConfig``
+    default.  ``overrides`` may set any of ``TRACKER_OVERRIDES``; another
+    key, or a setting the tracker rejects, is a ConfigError.
+    """
+    overrides = {} if overrides is None else overrides
+    if not isinstance(overrides, dict):
+        raise ConfigError("tracker overrides must be a JSON object")
+    unknown = sorted(set(overrides) - set(TRACKER_OVERRIDES))
+    if unknown:
+        raise ConfigError(
+            f"unknown tracker setting {', '.join(map(repr, unknown))} "
+            f"(choices: {', '.join(TRACKER_OVERRIDES)})"
+        )
+    settings = {
+        "sigma_xy": spec.sigma_xy,
+        "sigma_theta": spec.sigma_theta,
+        "partition_mode": "parallel" if resampler == "combinatorial" else "singleton",
+        **overrides,
+    }
+    try:
+        for key in ("sigma_xy", "sigma_theta", "lam", "weighted_exponent"):
+            if key in settings:
+                settings[key] = float(settings[key])
+        return TrackerConfig(
+            particle_count=particles, resampler=resampler, seed=seed, **settings
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad tracker settings: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -191,29 +258,14 @@ def _cell_seed(master_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([master_seed, *indices]).generate_state(1)[0])
 
 
-def _worker_count(config: dict) -> int:
-    env = os.environ.get("CRTRACK_WORKERS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"CRTRACK_WORKERS must be an integer, got {env!r}") from exc
-    else:
-        workers = int(config.get("workers", 1))
-    if workers < 1:
-        raise ConfigError("worker count must be >= 1")
-    return workers
-
-
 def run_benchmark(config: dict) -> BenchmarkReport:
     """Run every (object, resampler, N, run) cell of a declarative config.
 
     Config keys: ``objects`` (list of SequenceSpec fields), ``resamplers``,
-    ``particles``, ``runs``, ``seed`` (master), optional ``workers`` and
-    ``tracker`` overrides (sigma_xy, sigma_theta, lam, weighted_exponent,
-    partition_mode).  Every cell gets an independent seed derived from the
-    master seed and the cell indices, so the error table is a pure function
-    of the config; cells run concurrently up to the worker count.
+    ``particles``, ``runs``, ``seed`` (master) and optional ``tracker``
+    overrides (see ``tracker_config``); other top-level keys are ignored.
+    Every cell gets an independent seed derived from the master seed and the
+    cell indices, so the error table is a pure function of the config.
     """
     try:
         objects = [SequenceSpec(**obj) for obj in config["objects"]]
@@ -228,54 +280,39 @@ def run_benchmark(config: dict) -> BenchmarkReport:
     for name in resamplers:
         if name not in RESAMPLER_NAMES:
             raise ConfigError(f"unknown resampler {name!r} (choices: {', '.join(RESAMPLER_NAMES)})")
-    overrides = dict(config.get("tracker", {}))
-    mode_override = overrides.pop("partition_mode", None)
-    workers = _worker_count(config)
-
-    simulated = [simulate_sequence(obj) for obj in objects]
-
-    def run_cell(cell: tuple[int, int, int, int]) -> BenchmarkRow:
-        obj_idx, res_idx, n_idx, run = cell
-        spec = objects[obj_idx]
-        model, frames, truth = simulated[obj_idx]
-        name = resamplers[res_idx]
-        seed = _cell_seed(master_seed, obj_idx, res_idx, n_idx, run)
-        mode = mode_override or ("parallel" if name == "combinatorial" else "singleton")
-        cfg = TrackerConfig(
-            particle_count=particles[n_idx],
-            resampler=name,
-            sigma_xy=float(overrides.get("sigma_xy", spec.sigma_xy)),
-            sigma_theta=float(overrides.get("sigma_theta", spec.sigma_theta)),
-            lam=float(overrides.get("lam", 50.0)),
-            weighted_exponent=float(overrides.get("weighted_exponent", 20.0)),
-            partition_mode=mode,
-            seed=seed,
-        )
-        result = track_sequence(frames, truth[0], model, cfg, truth=truth)
-        return BenchmarkRow(
-            object_name=spec.name,
-            resampler=name,
-            particles=particles[n_idx],
-            run=run,
-            seed=seed,
-            mean_error_px=result.mean_error,
-            resample_seconds=result.resample_seconds,
-            total_seconds=result.total_seconds,
-            resample_invocations=result.resample_invocations,
-        )
-
+    overrides = config.get("tracker", {})
+    # every cell's settings are checked before any sequence is simulated
     cells = [
-        (oi, ri, ni, run)
-        for oi in range(len(objects))
-        for ri in range(len(resamplers))
-        for ni in range(len(particles))
+        (
+            obj_idx,
+            run,
+            tracker_config(
+                spec, name, n, _cell_seed(master_seed, obj_idx, res_idx, n_idx, run), overrides
+            ),
+        )
+        for obj_idx, spec in enumerate(objects)
+        for res_idx, name in enumerate(resamplers)
+        for n_idx, n in enumerate(particles)
         for run in range(runs)
     ]
-    if workers == 1:
-        rows = [run_cell(c) for c in cells]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run_cell, cells))
+    simulated = [simulate_sequence(obj) for obj in objects]
+    rows = []
+    for obj_idx, run, cfg in cells:
+        model, frames, truth = simulated[obj_idx]
+        result = track_sequence(frames, truth[0], model, cfg, truth=truth)
+        rows.append(
+            BenchmarkRow(
+                object_name=objects[obj_idx].name,
+                resampler=cfg.resampler,
+                particles=cfg.particle_count,
+                run=run,
+                seed=cfg.seed,
+                mean_error_px=result.mean_error,
+                resample_seconds=result.resample_seconds,
+                total_seconds=result.total_seconds,
+                resample_invocations=result.resample_invocations,
+            )
+        )
     return BenchmarkReport(rows)
 
 

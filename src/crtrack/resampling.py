@@ -34,21 +34,17 @@ class ParticleSet:
     ``states``: (N, P, 3) with columns (x, y, theta); rows of parts already
     processed this frame hold current-frame values, pending parts still hold
     previous-frame values.  ``part_weights``: (N, P) per-part likelihood
-    factors, reset to 1 by every resample and (re)assigned by correction.
-    ``weights``: (N,) total weights, normalized after each correction.
-    ``processed``: ids propagated so far this frame.  ``fresh``: ids corrected
-    since the last resample; the total weight of a particle is proportional to
-    the product of its fresh part factors.  ``stage_base`` caches the weights
-    seen at the first correction after a resample so totals can be rebuilt in
-    a fixed order (see the tracker's correction step).
+    factors, reset to 1 by every resample and assigned when a part is scored.
+    ``weights``: (N,) total weights, normalized once per stage.  ``fresh``:
+    parts scored since the last resample; resamplers reset it.  The total
+    weight of a particle is proportional to the product of its fresh part
+    factors.
     """
 
     states: np.ndarray
     part_weights: np.ndarray
     weights: np.ndarray
-    processed: frozenset[int] = frozenset()
     fresh: tuple[int, ...] = ()
-    stage_base: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -64,20 +60,17 @@ class ParticleSet:
             states=self.states.copy(),
             part_weights=self.part_weights.copy(),
             weights=self.weights.copy(),
-            stage_base=None if self.stage_base is None else self.stage_base.copy(),
         )
 
 
 def initial_particle_set(n: int, state: np.ndarray) -> ParticleSet:
-    """N exact copies of a known pose, uniform weights, everything processed."""
+    """N exact copies of a known pose, uniform weights."""
     state = np.asarray(state, dtype=float)
     p = state.shape[0]
     return ParticleSet(
         states=np.repeat(state[None, :, :], n, axis=0),
         part_weights=np.ones((n, p)),
         weights=np.full(n, 1.0 / n),
-        processed=frozenset(range(1, p + 1)),
-        fresh=(),
     )
 
 
@@ -163,8 +156,6 @@ def _resampled(pset: ParticleSet, indices: np.ndarray) -> ParticleSet:
         states=pset.states[indices],
         part_weights=np.ones((n, pset.part_count)),
         weights=np.full(n, 1.0 / n),
-        processed=pset.processed,
-        fresh=(),
     )
 
 
@@ -378,8 +369,6 @@ def combinatorial_resample(
         states=states,
         part_weights=np.ones((n, p)),
         weights=np.full(n, 1.0 / n),
-        processed=pset.processed,
-        fresh=(),
     )
 
 
@@ -481,7 +470,6 @@ def enumerate_combinatorial_set(
                 states=states,
                 part_weights=part_weights,
                 weights=weights,
-                processed=pset.processed,
                 fresh=pset.fresh,
             )
         )

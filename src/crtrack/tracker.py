@@ -1,8 +1,9 @@
 """Staged particle filtering over an articulated-object partition.
 
-Each frame is processed step by step: the parts of one partition step are
-propagated and corrected, then the whole set is resampled, so a frame costs
-exactly as many resamples as the partition has steps.
+Each frame is processed stage by stage: the parts of one partition stage are
+propagated and scored, the particle weights are multiplied by their factors
+and normalized once, then the whole set is resampled, so a frame costs
+exactly as many resamples as the partition has stages.
 """
 
 from __future__ import annotations
@@ -33,14 +34,6 @@ from .resampling import (
 )
 
 log = logging.getLogger(__name__)
-
-
-class AlreadyProcessed(RuntimeError):
-    pass
-
-
-class NotFullyProcessed(RuntimeError):
-    pass
 
 
 RESAMPLER_NAMES = (
@@ -104,57 +97,29 @@ def resample_rng(seed: int, frame_index: int, stage: int) -> np.random.Generator
 
 
 def propagate_part(
-    pset: ParticleSet, k: int, cfg: TrackerConfig, rng: np.random.Generator
-) -> ParticleSet:
-    """Move part k of every particle by its Gaussian proposal (in place)."""
-    if k in pset.processed:
-        raise AlreadyProcessed(f"part {k} was already propagated this frame")
-    n = pset.n
-    col = pset.states[:, k - 1]
+    states: np.ndarray, k: int, cfg: TrackerConfig, rng: np.random.Generator
+) -> None:
+    """Move part k of every particle in ``states`` by its Gaussian proposal
+    (in place)."""
+    n = states.shape[0]
+    col = states[:, k - 1]
     col[:, 0] += rng.normal(0.0, cfg.sigma_xy, n)
     col[:, 1] += rng.normal(0.0, cfg.sigma_xy, n)
     col[:, 2] = wrap_angle(col[:, 2] + rng.normal(0.0, cfg.sigma_theta, n))
-    pset.processed = pset.processed | {k}
-    return pset
 
 
 def correct_part(
-    pset: ParticleSet,
+    states: np.ndarray,
     k: int,
     frame: np.ndarray,
     refs: list[Histogram8],
     model: ArticulatedModel,
     cfg: TrackerConfig,
-) -> ParticleSet:
-    """Score part k of every particle against its reference histogram.
-
-    All particles are scored in one batched pass (``part_factors``).  Stores
-    exp(-lam d^2) as the part's weight factor and renormalizes the
-    total weights.  Totals are rebuilt as (weights at the first correction
-    since the last resample) x (accrued factors, multiplied in ascending part
-    order), which equals multiply-and-renormalize but cannot depend on the
-    order parts are corrected in.  If every product underflows to zero the
-    weights fall back to uniform with a warning instead of aborting the run.
-    """
-    if k not in pset.processed:
-        raise AlreadyProcessed(f"part {k} must be propagated before correction")
-    if k in pset.fresh:
-        raise AlreadyProcessed(f"part {k} was already corrected at this stage")
-    if pset.stage_base is None:
-        pset.stage_base = pset.weights.copy()
-    corners = place_polygons(model, k, pset.states[:, k - 1])
-    pset.part_weights[:, k - 1] = part_factors(frame, corners, refs[k - 1], cfg.lam)
-    pset.fresh = tuple(sorted((*pset.fresh, k)))
-    w = pset.stage_base.copy()
-    for kk in pset.fresh:
-        w = w * pset.part_weights[:, kk - 1]
-    total = w.sum()
-    if not np.isfinite(total) or total <= 0.0:
-        log.warning("all particle weights degenerated at part %d; resetting to uniform", k)
-        pset.weights = np.full(pset.n, 1.0 / pset.n)
-    else:
-        pset.weights = w / total
-    return pset
+) -> np.ndarray:
+    """Likelihood factor exp(-lam d^2) of part k for every particle, all
+    particles scored in one batched pass (``part_factors``)."""
+    corners = place_polygons(model, k, states[:, k - 1])
+    return part_factors(frame, corners, refs[k - 1], cfg.lam)
 
 
 def _make_resampler(cfg: TrackerConfig, spec: DbnSpec):
@@ -194,17 +159,32 @@ def ps_step(
     cfg: TrackerConfig,
     frame_index: int,
 ) -> tuple[ParticleSet, StepStats]:
-    """Advance the particle set by one frame: per partition step, propagate
-    and correct its parts (ascending id) and resample once."""
+    """Advance the particle set by one frame.
+
+    Per partition stage: propagate each part of the stage and multiply its
+    factors into the weights, taking parts in ascending id so the result
+    cannot depend on the order the partition lists them in; normalize once;
+    resample once.  One normalization per stage loses nothing: every factor
+    is at most 1, so a product that underflows part-way stays zero.  When
+    the final product is zero or not finite, the weights fall back to
+    uniform with one warning for the stage instead of aborting the run.
+    """
     resampler = _make_resampler(cfg, model.spec)
-    pset.processed = frozenset()
-    pset.fresh = ()
-    pset.stage_base = None
     spent = 0.0
     for stage, parts in enumerate(partition.steps, start=1):
-        for k in sorted(parts):
-            pset = propagate_part(pset, k, cfg, propagate_rng(cfg.seed, frame_index, k))
-            pset = correct_part(pset, k, frame, refs, model, cfg)
+        parts = tuple(sorted(parts))
+        w = pset.weights
+        for k in parts:
+            propagate_part(pset.states, k, cfg, propagate_rng(cfg.seed, frame_index, k))
+            pset.part_weights[:, k - 1] = correct_part(pset.states, k, frame, refs, model, cfg)
+            w = w * pset.part_weights[:, k - 1]
+        total = w.sum()
+        if not np.isfinite(total) or total <= 0.0:
+            log.warning("all particle weights degenerated at stage %d; resetting to uniform", stage)
+            pset.weights = np.full(pset.n, 1.0 / pset.n)
+        else:
+            pset.weights = w / total
+        pset.fresh = parts
         rng = resample_rng(cfg.seed, frame_index, stage)
         start = time.perf_counter()
         pset = resampler(pset, stage, rng)
@@ -218,9 +198,6 @@ def estimate(pset: ParticleSet) -> ObjectState:
     Computed as offsets from particle 0 so a set of identical particles
     estimates their common state bit for bit.
     """
-    if pset.processed != frozenset(range(1, pset.part_count + 1)):
-        missing = sorted(set(range(1, pset.part_count + 1)) - pset.processed)
-        raise NotFullyProcessed(f"parts not processed this frame: {missing}")
     w = pset.weights
     total = w.sum()
     ref = pset.states[0]

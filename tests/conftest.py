@@ -20,7 +20,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_line(f"criterion {num} ({title}): {status}")
 
 
-def make_particle_set(spec: DbnSpec, part_values, part_weights=None, processed=()):
+def make_particle_set(spec: DbnSpec, part_values, part_weights=None):
     """Particle set from abstract per-part integer values; equal values give
     bit-identical state rows."""
     n = len(part_values[0])
@@ -31,8 +31,7 @@ def make_particle_set(spec: DbnSpec, part_values, part_weights=None, processed=(
             states[i, k - 1] = part_value_row(k, part_values[k - 1][i])
     weights = np.full(n, 1.0 / n)
     pw = np.ones((n, p)) if part_weights is None else np.asarray(part_weights, dtype=float)
-    return ParticleSet(states=states, part_weights=pw, weights=weights,
-                       processed=frozenset(processed))
+    return ParticleSet(states=states, part_weights=pw, weights=weights)
 
 
 @pytest.fixture
@@ -54,7 +53,7 @@ def five_part_instance():
         (3, 3, 4, 4, 4),
         (8, 9, 12, 13, 14),
     )
-    pset = make_particle_set(spec, part_values, processed=range(1, 6))
+    pset = make_particle_set(spec, part_values)
     return pset, spec, 3
 
 
@@ -68,5 +67,5 @@ def three_particle_instance(six_part_tree):
         tuple((1, 1, 21)[i] if k == 1 else (k, k + 10, k + 20)[i] for i in range(3))
         for k in range(1, 7)
     )
-    pset = make_particle_set(spec, part_values, processed=range(1, 7))
+    pset = make_particle_set(spec, part_values)
     return pset, spec, 2

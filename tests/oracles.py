@@ -218,9 +218,7 @@ def random_small_instance(
         if not unit_weights:
             for c in part_cols:
                 part_weights[:, c] = rng.integers(1, weight_high + 1, size=n)
-        processed = frozenset(partition.processed_through(stage))
         weights = np.full(n, 1.0 / n)
-        pset = ParticleSet(states=states, part_weights=part_weights, weights=weights,
-                           processed=processed)
+        pset = ParticleSet(states=states, part_weights=part_weights, weights=weights)
         if rearrangement_count(pset, spec, stage) <= max_rearrangements:
             return pset, spec, stage

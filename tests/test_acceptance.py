@@ -188,7 +188,6 @@ def _unbiasedness_counts(name, weights, repeats, seed):
             states=states.copy(),
             part_weights=np.ones((n, 1)),
             weights=np.asarray(weights, dtype=float),
-            processed=frozenset({1}),
         )
         if name == "multinomial":
             out = multinomial_resample(pset, rng)

@@ -164,7 +164,7 @@ class TestEnumeration:
         pw[:, 1] = (2, 3, 5)
         pw[:, 3] = (7, 11, 13)
         pw[:, 5] = (17, 19, 23)
-        pset = make_particle_set(spec, part_values, part_weights=pw, processed=range(1, 7))
+        pset = make_particle_set(spec, part_values, part_weights=pw)
         sets = enumerate_combinatorial_set(pset, spec, 2)
         weight_vectors = {tuple(s.weights.tolist()) for s in sets}
         assert (2 * 7 * 17, 3 * 11 * 19, 5 * 13 * 23) in weight_vectors
@@ -231,21 +231,21 @@ class TestEnumeration:
     def test_too_many_particles(self):
         spec = DbnSpec.chain(2)
         values = (tuple(range(9)), tuple(range(9)))
-        pset = make_particle_set(spec, values, processed=(1, 2))
+        pset = make_particle_set(spec, values)
         with pytest.raises(InstanceTooLarge):
             enumerate_combinatorial_set(pset, spec, 2)
 
     def test_too_many_stage_parts(self):
         spec = DbnSpec.star(4, 1)
         values = tuple((0, 1) for _ in range(5))
-        pset = make_particle_set(spec, values, processed=range(1, 6))
+        pset = make_particle_set(spec, values)
         with pytest.raises(InstanceTooLarge):
             enumerate_combinatorial_set(pset, spec, 2)
 
     def test_max_sets_guard(self):
         spec = DbnSpec.chain(2)
         values = ((0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6))
-        pset = make_particle_set(spec, values, processed=(1, 2))
+        pset = make_particle_set(spec, values)
         with pytest.raises(InstanceTooLarge):
             enumerate_combinatorial_set(pset, spec, 2, max_sets=100)
 
@@ -276,7 +276,6 @@ class TestDrawAndResample:
         np.testing.assert_array_equal(out.weights, np.full(pset.n, 1.0 / pset.n))
         np.testing.assert_array_equal(out.part_weights, np.ones_like(pset.part_weights))
         assert out.fresh == ()
-        assert out.processed == pset.processed
 
     def test_assembled_rows_are_joint_consistent(self, five_part_instance):
         """Each output row is a group fragment plus, per current-stage part,

@@ -21,8 +21,10 @@ from crtrack.harness import (
     read_results_csv,
     run_benchmark,
     simulate_sequence,
+    tracker_config,
     write_results_csv,
 )
+from crtrack.tracker import TrackerConfig
 
 
 def tiny_spec(**kw):
@@ -210,6 +212,8 @@ class TestRunBenchmark:
             dict(runs=0),
             dict(objects=[]),
             dict(objects=[{"arm_count": -2, "arm_length": 1}]),
+            dict(tracker={"lamda": 10.0}),
+            dict(tracker={"lam": -1.0}),
         ],
     )
     def test_bad_configs(self, bad):
@@ -220,25 +224,39 @@ class TestRunBenchmark:
         with pytest.raises(ConfigError):
             run_benchmark({"resamplers": ["systematic"]})
 
+    def test_workers_key_is_ignored(self):
+        plain = run_benchmark(tiny_config())
+        with_key = run_benchmark(tiny_config(workers=3))
+        assert [r.mean_error_px for r in plain.rows] == [r.mean_error_px for r in with_key.rows]
+        assert [r.seed for r in plain.rows] == [r.seed for r in with_key.rows]
 
-class TestWorkers:
-    def test_worker_pool_matches_serial_results(self, monkeypatch):
-        monkeypatch.delenv("CRTRACK_WORKERS", raising=False)
-        serial = run_benchmark(tiny_config(workers=1))
-        pooled = run_benchmark(tiny_config(workers=3))
-        assert [r.mean_error_px for r in serial.rows] == [r.mean_error_px for r in pooled.rows]
-        assert [r.seed for r in serial.rows] == [r.seed for r in pooled.rows]
 
-    def test_env_var_overrides_config(self, monkeypatch):
-        monkeypatch.setenv("CRTRACK_WORKERS", "2")
-        report = run_benchmark(tiny_config(workers=1))
-        assert len(report.rows) == 8
+class TestTrackerConfig:
+    def test_defaults_follow_the_sequence_and_the_resampler(self):
+        spec = tiny_spec()
+        cfg = tracker_config(spec, "systematic", 7, 4)
+        default = TrackerConfig(particle_count=7)
+        assert (cfg.particle_count, cfg.resampler, cfg.seed) == (7, "systematic", 4)
+        assert (cfg.sigma_xy, cfg.sigma_theta) == (spec.sigma_xy, spec.sigma_theta)
+        assert (cfg.lam, cfg.weighted_exponent) == (default.lam, default.weighted_exponent)
+        assert cfg.partition_mode == "singleton"
+        assert tracker_config(spec, "combinatorial", 7, 4).partition_mode == "parallel"
 
-    @pytest.mark.parametrize("value", ["zero", "0", "-3"])
-    def test_env_var_validation(self, monkeypatch, value):
-        monkeypatch.setenv("CRTRACK_WORKERS", value)
+    def test_overrides(self):
+        overrides = {"sigma_xy": 2, "sigma_theta": 0.5, "lam": 7, "weighted_exponent": 3,
+                     "partition_mode": "parallel"}
+        cfg = tracker_config(tiny_spec(), "systematic", 5, 0, overrides)
+        assert (cfg.sigma_xy, cfg.sigma_theta, cfg.lam, cfg.weighted_exponent) == (2.0, 0.5, 7.0, 3.0)
+        assert isinstance(cfg.lam, float)
+        assert cfg.partition_mode == "parallel"
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"lamda": 1.0}, {"seed": 3}, {"lam": "high"}, {"sigma_xy": None}, ["lam", 1.0]],
+    )
+    def test_rejects_bad_overrides(self, overrides):
         with pytest.raises(ConfigError):
-            run_benchmark(tiny_config())
+            tracker_config(tiny_spec(), "systematic", 5, 0, overrides)
 
 
 def fake_report():
@@ -396,12 +414,13 @@ class TestTrackRejectsBadInput:
     tracking a single frame, when the tracker settings or the ground truth
     cannot work."""
 
+    @staticmethod
+    def no_tracking(*args, **kwargs):
+        raise AssertionError("bad input reached the tracker")
+
     @pytest.fixture
     def seq(self, tmp_path, monkeypatch):
-        def no_tracking(*args, **kwargs):
-            raise AssertionError("bad input reached the tracker")
-
-        monkeypatch.setattr("crtrack.cli.track_sequence", no_tracking)
+        monkeypatch.setattr("crtrack.cli.track_sequence", self.no_tracking)
         return generate_sequence(tiny_spec(frame_count=5), tmp_path / "seq")
 
     def track(self, seq, *extra, config=None):
@@ -437,3 +456,47 @@ class TestTrackRejectsBadInput:
         obj.write_text(json.dumps({**json.loads(obj.read_text()), "arm_count": 3}))
         assert self.track(seq) == 2
         assert "4-part object" in capsys.readouterr().err
+
+    def test_object_json_unknown_field(self, seq, capsys):
+        obj = seq / "object.json"
+        obj.write_text(json.dumps({**json.loads(obj.read_text()), "arms": 3}))
+        assert self.track(seq) == 2
+        assert "object.json: bad object description" in capsys.readouterr().err
+
+    def test_truth_row_not_in_triples(self, seq, capsys):
+        truth = seq / "truth.csv"
+        lines = truth.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rstrip("\n").rsplit(",", 1)[0] + "\n"
+        truth.write_text("".join(lines))
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert "truth.csv, row 2" in err and "8 values" in err
+
+    def test_truth_value_not_numeric(self, seq, capsys):
+        truth = seq / "truth.csv"
+        lines = truth.read_text().splitlines(keepends=True)
+        lines[3] = "4,abc," + lines[3].split(",", 2)[2]  # x of part 1 on frame 4
+        truth.write_text("".join(lines))
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert "truth.csv, row 4" in err and "abc" in err
+
+    def test_config_not_json(self, seq, capsys):
+        path = seq / "tracker.json"
+        path.write_text("{bad")
+        argv = ["track", "--frames", str(seq), "--truth", str(seq / "truth.csv")]
+        assert main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "tracker.json: not valid JSON" in err and "line 1" in err
+
+    def test_unknown_tracker_setting(self, seq, capsys):
+        assert self.track(seq, config={"lamda": 10.0}) == 2
+        assert "unknown tracker setting 'lamda'" in capsys.readouterr().err
+
+    def test_bench_config_not_json(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)
+        path = tmp_path / "bench.json"
+        path.write_text('{"objects": [}')
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "bench.json: not valid JSON" in capsys.readouterr().err
+        assert not (tmp_path / "r.csv").exists()

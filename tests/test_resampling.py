@@ -38,7 +38,6 @@ def toy_set(weights):
         states=states,
         part_weights=np.full((n, 1), 2.0),
         weights=weights / weights.sum(),
-        processed=frozenset({1}),
         fresh=(1,),
     )
 
@@ -171,8 +170,6 @@ class TestResampledSets:
         np.testing.assert_array_equal(out.weights, np.full(3, 1.0 / 3.0))
         np.testing.assert_array_equal(out.part_weights, np.ones((3, 1)))
         assert out.fresh == ()
-        assert out.stage_base is None
-        assert out.processed == pset.processed
         # every output row is one of the input rows
         for row in out.states:
             assert any(np.array_equal(row, orig) for orig in pset.states)
@@ -184,7 +181,7 @@ class TestResampledSets:
         for i in range(5):
             np.testing.assert_array_equal(pset.states[i], state)
         np.testing.assert_array_equal(pset.weights, np.full(5, 0.2))
-        assert pset.processed == frozenset({1, 2})
+        assert pset.fresh == ()
 
     def test_copy_is_deep(self):
         pset = toy_set([0.5, 0.5])

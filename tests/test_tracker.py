@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from crtrack.dbn import DbnSpec, compute_partition
+from crtrack import tracker
+from crtrack.dbn import DbnSpec, Partition, compute_partition
 from crtrack.geometry import ArticulatedModel, default_pose, render_frame
 from crtrack.likelihood import init_references
-from crtrack.resampling import ParticleSet, initial_particle_set
+from crtrack.resampling import ParticleSet, initial_particle_set, systematic_resample
 from crtrack.tracker import (
     RESAMPLER_NAMES,
-    AlreadyProcessed,
-    NotFullyProcessed,
     TrackerConfig,
     correct_part,
     estimate,
@@ -95,122 +94,122 @@ class TestPartitionFor:
 class TestPropagate:
     def test_moves_only_the_given_part(self):
         model, pose, _, _ = small_scene()
-        pset = initial_particle_set(5, pose)
-        pset.processed = frozenset()
-        before = pset.states.copy()
+        states = initial_particle_set(5, pose).states
+        before = states.copy()
         cfg = cfg_for(model, sigma_xy=1.0, sigma_theta=0.1)
-        propagate_part(pset, 2, cfg, propagate_rng(0, 1, 2))
-        changed = pset.states != before
+        propagate_part(states, 2, cfg, propagate_rng(0, 1, 2))
+        changed = states != before
         assert changed[:, 1].any()
-        np.testing.assert_array_equal(pset.states[:, [0, 2, 3, 4]], before[:, [0, 2, 3, 4]])
-        assert pset.processed == {2}
+        np.testing.assert_array_equal(states[:, [0, 2, 3, 4]], before[:, [0, 2, 3, 4]])
 
     def test_zero_noise_is_bit_identical(self):
         model, pose, _, _ = small_scene()
-        pset = initial_particle_set(4, pose)
-        pset.processed = frozenset()
-        before = pset.states.copy()
+        states = initial_particle_set(4, pose).states
+        before = states.copy()
         cfg = cfg_for(model, sigma_xy=0.0, sigma_theta=0.0)
-        propagate_part(pset, 1, cfg, propagate_rng(0, 1, 1))
-        np.testing.assert_array_equal(pset.states, before)
+        propagate_part(states, 1, cfg, propagate_rng(0, 1, 1))
+        np.testing.assert_array_equal(states, before)
 
     def test_theta_stays_wrapped(self):
         model, pose, _, _ = small_scene()
         pose = pose.copy()
         pose[:, 2] = math.pi - 1e-3
-        pset = initial_particle_set(64, pose)
-        pset.processed = frozenset()
+        states = initial_particle_set(64, pose).states
         cfg = cfg_for(model, sigma_xy=0.0, sigma_theta=0.5)
-        propagate_part(pset, 1, cfg, propagate_rng(3, 1, 1))
-        theta = pset.states[:, 0, 2]
+        propagate_part(states, 1, cfg, propagate_rng(3, 1, 1))
+        theta = states[:, 0, 2]
         assert (theta >= -math.pi).all() and (theta < math.pi).all()
-
-    def test_double_propagate_raises(self):
-        model, pose, _, _ = small_scene()
-        pset = initial_particle_set(3, pose)
-        pset.processed = frozenset()
-        cfg = cfg_for(model)
-        propagate_part(pset, 1, cfg, propagate_rng(0, 1, 1))
-        with pytest.raises(AlreadyProcessed):
-            propagate_part(pset, 1, cfg, propagate_rng(0, 1, 1))
 
     def test_stream_is_keyed_by_seed_frame_part(self):
         model, pose, _, _ = small_scene()
         cfg = cfg_for(model)
 
         def run(seed, frame_index, k):
-            pset = initial_particle_set(5, pose)
-            pset.processed = frozenset()
-            propagate_part(pset, k, cfg, propagate_rng(seed, frame_index, k))
-            return pset.states.copy()
+            states = initial_particle_set(5, pose).states
+            propagate_part(states, 2, cfg, propagate_rng(seed, frame_index, k))
+            return states
 
         np.testing.assert_array_equal(run(0, 1, 2), run(0, 1, 2))
         assert (run(0, 1, 2) != run(0, 2, 2)).any()
         assert (run(0, 1, 2) != run(1, 1, 2)).any()
+        assert (run(0, 1, 2) != run(0, 1, 4)).any()
+
+
+def capture_resampler_inputs(monkeypatch):
+    """Record a copy of every set handed to the systematic resampler."""
+    seen = []
+
+    def recording(pset, rng):
+        seen.append(pset.copy())
+        return systematic_resample(pset, rng)
+
+    monkeypatch.setattr(tracker, "systematic_resample", recording)
+    return seen
 
 
 class TestCorrect:
-    def prepared(self, n=5, sigma=1.5):
+    """Scoring and the per-stage weight update inside ``ps_step``."""
+
+    def stage_inputs(self, n=8, sigma=1.5, seed=0):
         model, pose, frame, refs = small_scene()
-        pset = initial_particle_set(n, pose)
-        pset.processed = frozenset()
-        pset.fresh = ()
-        pset.stage_base = None
-        cfg = cfg_for(model, sigma_xy=sigma, sigma_theta=0.05)
-        return model, pose, frame, refs, pset, cfg
-
-    def test_requires_propagation_first(self):
-        model, _, frame, refs, pset, cfg = self.prepared()
-        with pytest.raises(AlreadyProcessed):
-            correct_part(pset, 1, frame, refs, model, cfg)
-
-    def test_double_correct_raises(self):
-        model, _, frame, refs, pset, cfg = self.prepared()
-        propagate_part(pset, 1, cfg, propagate_rng(0, 1, 1))
-        correct_part(pset, 1, frame, refs, model, cfg)
-        with pytest.raises(AlreadyProcessed):
-            correct_part(pset, 1, frame, refs, model, cfg)
+        cfg = TrackerConfig(particle_count=n, sigma_xy=sigma, sigma_theta=0.05, seed=seed)
+        return model, frame, refs, initial_particle_set(n, pose), cfg
 
     def test_perfect_particle_scores_factor_one(self):
-        model, _, frame, refs, pset, _ = self.prepared(n=3)
-        cfg = cfg_for(model, particle_count=3, sigma_xy=0.0, sigma_theta=0.0)
-        propagate_part(pset, 1, cfg, propagate_rng(0, 1, 1))
-        correct_part(pset, 1, frame, refs, model, cfg)
-        np.testing.assert_array_equal(pset.part_weights[:, 0], 1.0)
-        np.testing.assert_allclose(pset.weights, 1.0 / 3.0)
+        model, pose, frame, refs = small_scene()
+        states = initial_particle_set(3, pose).states
+        cfg = cfg_for(model, particle_count=3)
+        np.testing.assert_array_equal(correct_part(states, 1, frame, refs, model, cfg), 1.0)
 
-    def test_weights_stay_normalized(self):
-        model, _, frame, refs, pset, cfg = self.prepared(n=8)
-        for k in (1, 2, 4):
-            propagate_part(pset, k, cfg, propagate_rng(0, 1, k))
-            correct_part(pset, k, frame, refs, model, cfg)
-            assert abs(pset.weights.sum() - 1.0) < 1e-12
+    def test_weights_stay_normalized(self, monkeypatch):
+        seen = capture_resampler_inputs(monkeypatch)
+        model, frame, refs, pset, cfg = self.stage_inputs()
+        partition = partition_for(model.spec, "parallel")
+        ps_step(pset, frame, partition, model, refs, cfg, 1)
+        assert [s.fresh for s in seen] == list(partition.steps)
+        for s in seen:
+            assert abs(s.weights.sum() - 1.0) < 1e-12
+            # one normalization of the uniform start times the stage's factors
+            w = np.full(s.n, 1.0 / s.n)
+            for k in s.fresh:
+                w = w * s.part_weights[:, k - 1]
+            np.testing.assert_array_equal(s.weights, w / w.sum())
+            assert (s.weights != s.weights[0]).any()
 
-    def test_correction_order_cannot_change_weights(self):
-        model, _, frame, refs, base, cfg = self.prepared(n=7)
-        propagate_part(base, 2, cfg, propagate_rng(0, 1, 2))
-        propagate_part(base, 4, cfg, propagate_rng(0, 1, 4))
+    def test_correction_order_cannot_change_weights(self, monkeypatch):
+        seen = capture_resampler_inputs(monkeypatch)
+        model, frame, refs, pset, cfg = self.stage_inputs(n=7)
+        ascending = partition_for(model.spec, "parallel")
+        assert ascending.steps[1] == (2, 4)
+        descending = Partition(tuple(tuple(reversed(step)) for step in ascending.steps))
 
-        forward = base.copy()
-        correct_part(forward, 2, frame, refs, model, cfg)
-        correct_part(forward, 4, frame, refs, model, cfg)
+        forward, _ = ps_step(pset.copy(), frame, ascending, model, refs, cfg, 1)
+        backward, _ = ps_step(pset.copy(), frame, descending, model, refs, cfg, 1)
 
-        backward = base.copy()
-        correct_part(backward, 4, frame, refs, model, cfg)
-        correct_part(backward, 2, frame, refs, model, cfg)
-
+        np.testing.assert_array_equal(forward.states, backward.states)
         np.testing.assert_array_equal(forward.weights, backward.weights)
-        np.testing.assert_array_equal(forward.part_weights, backward.part_weights)
+        stages = ascending.num_steps
+        assert len(seen) == 2 * stages
+        for a, b in zip(seen[:stages], seen[stages:]):
+            assert a.fresh == b.fresh
+            np.testing.assert_array_equal(a.states, b.states)
+            np.testing.assert_array_equal(a.part_weights, b.part_weights)
+            np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_total_underflow_falls_back_to_uniform(self, caplog):
-        model, _, frame, refs, pset, cfg = self.prepared(n=4)
+    def test_total_underflow_falls_back_to_uniform(self, monkeypatch, caplog):
+        seen = capture_resampler_inputs(monkeypatch)
+        model, frame, refs, pset, _ = self.stage_inputs(n=4, seed=5)
         cfg = TrackerConfig(particle_count=4, lam=1e9, sigma_xy=25.0, seed=5)
-        propagate_part(pset, 1, cfg, propagate_rng(5, 1, 1))
-        pset.states[:, 0, :2] += 500.0  # move everyone far off canvas
+        dark = np.zeros_like(frame)  # no particle matches its reference on a blank frame
+        partition = partition_for(model.spec, "parallel")
         with caplog.at_level(logging.WARNING, logger="crtrack.tracker"):
-            correct_part(pset, 1, frame, refs, model, cfg)
-        np.testing.assert_array_equal(pset.weights, 0.25)
-        assert any("uniform" in rec.message for rec in caplog.records)
+            ps_step(pset, dark, partition, model, refs, cfg, 1)
+        assert len(seen) == partition.num_steps
+        for s in seen:
+            np.testing.assert_array_equal(s.part_weights[:, [k - 1 for k in s.fresh]], 0.0)
+            np.testing.assert_array_equal(s.weights, 0.25)
+        resets = [rec for rec in caplog.records if "uniform" in rec.message]
+        assert len(resets) == partition.num_steps  # one per stage, not one per part
 
 
 class TestPsStep:
@@ -239,7 +238,7 @@ class TestPsStep:
     def test_every_resampler_completes_a_frame(self, name):
         mode = "parallel"
         pset, stats = self.run_step(name, mode)
-        assert pset.processed == frozenset(range(1, 6))
+        assert pset.fresh == ()
         np.testing.assert_array_equal(pset.weights, 1.0 / 8.0)
         assert stats.resample_seconds >= 0.0
 
@@ -250,13 +249,6 @@ class TestPsStep:
 
 
 class TestEstimate:
-    def test_requires_all_parts_processed(self):
-        model, pose, _, _ = small_scene()
-        pset = initial_particle_set(4, pose)
-        pset.processed = frozenset({1, 2})
-        with pytest.raises(NotFullyProcessed):
-            estimate(pset)
-
     def test_identical_particles_estimate_their_state_bitwise(self):
         model, pose, _, _ = small_scene()
         pset = initial_particle_set(9, pose)
@@ -271,7 +263,6 @@ class TestEstimate:
             states=states,
             part_weights=np.ones((2, 1)),
             weights=np.array([0.75, 0.25]),
-            processed=frozenset({1}),
         )
         est = estimate(pset)
         np.testing.assert_allclose(est[0, :2], (1.0, 12.0))
@@ -284,7 +275,6 @@ class TestEstimate:
             states=states,
             part_weights=np.ones((2, 1)),
             weights=np.array([0.5, 0.5]),
-            processed=frozenset({1}),
         )
         theta = estimate(pset)[0, 2]
         assert abs(abs(theta) - math.pi) < 1e-12
