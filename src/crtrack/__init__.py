@@ -20,7 +20,6 @@ from .resampling import (
     CompatibilityGroups,
     ParticleSet,
     combinatorial_resample,
-    enumerate_combinatorial_set,
     group_compatibility,
     group_log_weights,
     initial_particle_set,
@@ -49,7 +48,6 @@ __all__ = [
     "default_pose",
     "descendants_within_slice",
     "emit_convergence_plot",
-    "enumerate_combinatorial_set",
     "estimate",
     "estimation_error",
     "generate_sequence",

@@ -126,11 +126,19 @@ def load_json(path):
         ) from exc
 
 
+def _open_input(path):
+    """Open a text input file; an unreadable one is a ConfigError naming it."""
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
 def load_truth(path) -> np.ndarray:
-    """(T, P, 3) ground truth from a truth.csv; a malformed row is a
-    ConfigError naming the file and the row."""
+    """(T, P, 3) ground truth from a truth.csv; an unreadable file or a
+    malformed row is a ConfigError naming the file (and the row)."""
     rows = []
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         for record in reader:
             if not record:
@@ -153,10 +161,20 @@ def load_truth(path) -> np.ndarray:
 
 
 def load_frames(frames_dir) -> list[np.ndarray]:
+    """Every .pgm frame under ``frames_dir`` in name order; an unreadable or
+    malformed frame is a ConfigError naming the file."""
     paths = sorted(Path(frames_dir).glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm frames under {frames_dir}")
-    return [read_pgm(p) for p in paths]
+    frames = []
+    for path in paths:
+        try:
+            frames.append(read_pgm(path))
+        except OSError as exc:
+            raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+        except ValueError as exc:  # read_pgm names the file
+            raise ConfigError(str(exc)) from exc
+    return frames
 
 
 def load_object_spec(frames_dir) -> SequenceSpec:
@@ -339,8 +357,10 @@ def write_results_csv(report: BenchmarkReport, path) -> None:
 
 
 def read_results_csv(path) -> BenchmarkReport:
+    """Rows of a results CSV; an unreadable file, a wrong header or a
+    malformed row is a ConfigError naming the file (and the row)."""
     rows: list[BenchmarkRow] = []
-    with open(path, newline="") as fh:
+    with _open_input(path) as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != CSV_HEADER:
@@ -348,19 +368,25 @@ def read_results_csv(path) -> BenchmarkReport:
         for record in reader:
             if not record:
                 continue
-            rows.append(
-                BenchmarkRow(
-                    object_name=record[0],
-                    resampler=record[1],
-                    particles=int(record[2]),
-                    run=int(record[3]),
-                    seed=int(record[4]),
-                    mean_error_px=float(record[5]),
-                    resample_seconds=float(record[6]),
-                    total_seconds=float(record[7]),
-                    resample_invocations=int(record[8]),
+            where = f"{path}, row {reader.line_num}"
+            if len(record) != len(CSV_HEADER):
+                raise ConfigError(f"{where}: {len(record)} fields, not {len(CSV_HEADER)}")
+            try:
+                rows.append(
+                    BenchmarkRow(
+                        object_name=record[0],
+                        resampler=record[1],
+                        particles=int(record[2]),
+                        run=int(record[3]),
+                        seed=int(record[4]),
+                        mean_error_px=float(record[5]),
+                        resample_seconds=float(record[6]),
+                        total_seconds=float(record[7]),
+                        resample_invocations=int(record[8]),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ConfigError(f"{where}: {exc}") from exc
     return BenchmarkReport(rows)
 
 

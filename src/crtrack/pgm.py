@@ -42,6 +42,8 @@ def read_pgm(path) -> np.ndarray:
     fields = []
     for _ in range(3):
         token, pos = _read_header_token(data, pos)
+        if not token.isdigit():
+            raise ValueError(f"{path}: bad header field {token!r}")
         fields.append(int(token))
     width, height, maxval = fields
     if not 0 < maxval <= 255:

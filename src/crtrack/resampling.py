@@ -3,15 +3,13 @@
 Five classical whole-particle schemes (multinomial, stratified, systematic,
 residual, weighted) plus a combinatorial scheme that, at a given processing
 stage, resamples as if the set had first been enlarged with every admissible
-rearrangement of same-parent part blocks between particles.  A brute-force
-enumeration of that enlarged ensemble is included as the validation oracle.
+rearrangement of same-parent part blocks between particles.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gammaln
@@ -21,10 +19,6 @@ from .dbn import DbnSpec, compute_partition, descendants_within_slice
 
 class DegenerateWeights(RuntimeError):
     """Raised when a weight vector carries no usable mass."""
-
-
-class InstanceTooLarge(ValueError):
-    """Raised when enumerating every rearrangement would blow up factorially."""
 
 
 @dataclass
@@ -63,15 +57,15 @@ class ParticleSet:
         )
 
 
+def _equal_weighted(states: np.ndarray) -> ParticleSet:
+    """Equal-weight set over ``states``; per-part factors start at 1."""
+    n, p = states.shape[:2]
+    return ParticleSet(states=states, part_weights=np.ones((n, p)), weights=np.full(n, 1.0 / n))
+
+
 def initial_particle_set(n: int, state: np.ndarray) -> ParticleSet:
     """N exact copies of a known pose, uniform weights."""
-    state = np.asarray(state, dtype=float)
-    p = state.shape[0]
-    return ParticleSet(
-        states=np.repeat(state[None, :, :], n, axis=0),
-        part_weights=np.ones((n, p)),
-        weights=np.full(n, 1.0 / n),
-    )
+    return _equal_weighted(np.repeat(np.asarray(state, dtype=float)[None, :, :], n, axis=0))
 
 
 def _normalized(weights) -> np.ndarray:
@@ -149,30 +143,20 @@ def residual_draw(weights, rng: np.random.Generator) -> np.ndarray:
     return base
 
 
-def _resampled(pset: ParticleSet, indices: np.ndarray) -> ParticleSet:
-    """Equal-weight copy of the selected rows; per-part factors restart at 1."""
-    n = len(indices)
-    return ParticleSet(
-        states=pset.states[indices],
-        part_weights=np.ones((n, pset.part_count)),
-        weights=np.full(n, 1.0 / n),
-    )
-
-
 def multinomial_resample(pset: ParticleSet, rng: np.random.Generator) -> ParticleSet:
-    return _resampled(pset, multinomial_draw(pset.weights, rng))
+    return _equal_weighted(pset.states[multinomial_draw(pset.weights, rng)])
 
 
 def stratified_resample(pset: ParticleSet, rng: np.random.Generator) -> ParticleSet:
-    return _resampled(pset, stratified_draw(pset.weights, rng))
+    return _equal_weighted(pset.states[stratified_draw(pset.weights, rng)])
 
 
 def systematic_resample(pset: ParticleSet, rng: np.random.Generator) -> ParticleSet:
-    return _resampled(pset, systematic_draw(pset.weights, rng))
+    return _equal_weighted(pset.states[systematic_draw(pset.weights, rng)])
 
 
 def residual_resample(pset: ParticleSet, rng: np.random.Generator) -> ParticleSet:
-    return _resampled(pset, residual_draw(pset.weights, rng))
+    return _equal_weighted(pset.states[residual_draw(pset.weights, rng)])
 
 
 def weighted_resample(pset: ParticleSet, g, rng: np.random.Generator) -> ParticleSet:
@@ -190,27 +174,51 @@ def weighted_resample(pset: ParticleSet, g, rng: np.random.Generator) -> Particl
     picked = multinomial_draw(rho, rng)
     corrected = pset.weights[picked] / rho[picked]
     final = picked[systematic_draw(corrected, rng)]
-    return _resampled(pset, final)
+    return _equal_weighted(pset.states[final])
+
+
+def _row_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Label the rows of ``rows`` (N, ...) by bit-exact equality, in
+    first-occurrence order; also return the lowest index of every label."""
+    flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    keys = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse.ravel()], np.sort(first)
+
+
+@lru_cache(maxsize=64)
+def _stage_columns(dbn: DbnSpec, stage: int) -> tuple[tuple[int, ...], np.ndarray, tuple[np.ndarray, ...]]:
+    """Parts of ``stage``, the columns processed before it, and the block
+    columns (the part plus its pending descendants) of each part."""
+    partition = compute_partition(dbn)
+    if not 1 <= stage <= partition.num_steps:
+        raise ValueError(f"stage must lie in 1..{partition.num_steps}")
+    parts = partition.steps[stage - 1]
+    prev_cols = np.array([k - 1 for k in sorted(partition.processed_through(stage - 1))], dtype=int)
+    blocks = tuple(
+        np.array([k - 1] + [d - 1 for d in sorted(descendants_within_slice(dbn, k))], dtype=int)
+        for k in parts
+    )
+    for cols in (prev_cols, *blocks):
+        cols.setflags(write=False)  # the cache hands the same arrays to every caller
+    return parts, prev_cols, blocks
 
 
 @dataclass
 class CompatibilityGroups:
     """Grouping of a particle set at one processing stage.
 
-    ``members[h]`` lists the 0-based particle indices whose processed-part
-    fragment is bit-for-bit identical (groups appear in first-occurrence
-    order).  For each current-stage part k, ``part_members[k][h]`` lists every
-    particle whose value for k's parent matches group h (a superset of
-    ``members[h]``); ``part_weight_sums[k][h]`` is the sum of part-k weights
-    over that pool and ``part_pool_max[k]`` the largest pool size.
+    ``members[h]`` lists, ascending, the particles whose processed-part
+    fragment is bit-for-bit identical (groups in first-occurrence order) and
+    ``reps[h] = members[h][0]``.  For current-stage part k, ``pools[k]`` is
+    (label of each particle's donor pool, size of each pool, part-k weight sum
+    of each pool); group h draws donors from pool ``labels[reps[h]]``.
     """
 
-    stage: int
     parts: tuple[int, ...]
+    reps: np.ndarray
     members: tuple[np.ndarray, ...]
-    part_members: dict[int, tuple[np.ndarray, ...]]
-    part_weight_sums: dict[int, np.ndarray]
-    part_pool_max: dict[int, int]
+    pools: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def group_count(self) -> int:
@@ -220,15 +228,9 @@ class CompatibilityGroups:
     def sizes(self) -> np.ndarray:
         return np.array([len(m) for m in self.members])
 
-    def part_sizes(self, k: int) -> np.ndarray:
-        return np.array([len(m) for m in self.part_members[k]])
-
-
-def _first_occurrence_labels(keys: list[bytes]) -> np.ndarray:
-    order: dict[bytes, int] = {}
-    for key in keys:
-        order.setdefault(key, len(order))
-    return np.array([order[key] for key in keys])
+    @property
+    def part_pool_max(self) -> dict[int, int]:
+        return {k: int(sizes.max()) for k, (_, sizes, _) in self.pools.items()}
 
 
 def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> CompatibilityGroups:
@@ -237,48 +239,25 @@ def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> Compatib
     the parent value alone.  At stage 1 there is a single group holding
     everything, and parts without a parent pool over the whole set.
     """
-    partition = compute_partition(dbn)
-    if not 1 <= stage <= partition.num_steps:
-        raise ValueError(f"stage must lie in 1..{partition.num_steps}")
-    parts = partition.steps[stage - 1]
-    prev = sorted(partition.processed_through(stage - 1))
-    n = pset.n
-    states = pset.states
+    parts, prev_cols, _ = _stage_columns(dbn, stage)
+    # rows that are all alike (nothing processed, no parent) form one class
+    alike = np.zeros(pset.n)
+    labels, reps = _row_labels(pset.states[:, prev_cols] if prev_cols.size else alike)
+    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
-    if prev:
-        cols = [k - 1 for k in prev]
-        labels = _first_occurrence_labels([states[i, cols].tobytes() for i in range(n)])
-    else:
-        labels = np.zeros(n, dtype=int)
-    members = tuple(np.flatnonzero(labels == h) for h in range(labels.max() + 1))
-
-    part_members: dict[int, tuple[np.ndarray, ...]] = {}
-    part_weight_sums: dict[int, np.ndarray] = {}
-    part_pool_max: dict[int, int] = {}
+    pools = {}
     for k in parts:
         parent = dbn.parent_of(k)
-        if parent is None:
-            pools = [np.arange(n)]
-            pool_of_group = np.zeros(len(members), dtype=int)
-        else:
-            plabels = _first_occurrence_labels(
-                [states[i, parent - 1].tobytes() for i in range(n)]
-            )
-            pools = [np.flatnonzero(plabels == c) for c in range(plabels.max() + 1)]
-            pool_of_group = np.array([plabels[m[0]] for m in members])
-        sums = np.array([float(pset.part_weights[pool, k - 1].sum()) for pool in pools])
-        part_members[k] = tuple(pools[c] for c in pool_of_group)
-        part_weight_sums[k] = sums[pool_of_group]
-        part_pool_max[k] = max(len(pool) for pool in pools)
-
-    return CompatibilityGroups(
-        stage=stage,
-        parts=parts,
-        members=members,
-        part_members=part_members,
-        part_weight_sums=part_weight_sums,
-        part_pool_max=part_pool_max,
-    )
+        plabels = _row_labels(alike if parent is None else pset.states[:, parent - 1])[0]
+        w = pset.part_weights[:, k - 1]
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise DegenerateWeights(f"part {k} weights must be finite and nonnegative")
+        sizes = np.bincount(plabels)
+        # one .sum() per pool over its weights in ascending index order, the
+        # rounding the pool's own normalization would give
+        pooled = np.split(w[np.argsort(plabels, kind="stable")], np.cumsum(sizes)[:-1])
+        pools[k] = (plabels, sizes, np.array([pool.sum() for pool in pooled]))
+    return CompatibilityGroups(parts=parts, reps=reps, members=tuple(members), pools=pools)
 
 
 def group_log_weights(groups: CompatibilityGroups) -> np.ndarray:
@@ -301,9 +280,10 @@ def group_log_weights(groups: CompatibilityGroups) -> np.ndarray:
     sizes = groups.sizes.astype(float)
     logw = np.log(sizes)
     for k in groups.parts:
-        pool_sizes = groups.part_sizes(k).astype(float)
-        pool_max = float(groups.part_pool_max[k])
-        sums = groups.part_weight_sums[k]
+        labels, pool_sizes, sums = groups.pools[k]
+        pool = labels[groups.reps]
+        pool_max = float(pool_sizes.max())
+        pool_sizes, sums = pool_sizes[pool].astype(float), sums[pool]
         if not np.all(np.isfinite(sums)) or np.any(sums < 0):
             raise DegenerateWeights(f"part {k} has invalid pool weight sums")
         with np.errstate(divide="ignore"):
@@ -330,7 +310,9 @@ def combinatorial_draw(
     Groups are drawn by exp(log mass - max log mass); within the chosen
     group, each part's donor is drawn from its pool in proportion to the
     per-part weights.  Returns the grouping, the group index per draw and a
-    donor particle index per part per draw.
+    donor particle index per part per draw.  Each part takes its uniforms
+    in one ``rng.random`` call, handed out group by group and ascending within
+    a group: the stream of one inverse-CDF draw per (part, group).
     """
     groups = group_compatibility(pset, dbn, stage)
     logw = group_log_weights(groups)
@@ -338,17 +320,26 @@ def combinatorial_draw(
     mass[~np.isfinite(logw)] = 0.0
     n = pset.n if size is None else int(size)
     chosen = multinomial_draw(mass, rng, size=n)
+    by_group = np.argsort(chosen, kind="stable")
     donors: dict[int, np.ndarray] = {}
     for k in groups.parts:
-        idx = np.empty(n, dtype=np.intp)
-        for h in range(groups.group_count):
-            here = np.flatnonzero(chosen == h)
-            if here.size == 0:
-                continue
-            pool = groups.part_members[k][h]
-            picks = multinomial_draw(pset.part_weights[pool, k - 1], rng, size=here.size)
-            idx[here] = pool[picks]
-        donors[k] = idx
+        labels, sizes, sums = groups.pools[k]
+        # row p of ``slot`` lists pool p ascending, padded with its last member
+        ends = np.cumsum(sizes)
+        cells = np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()), ends[:, None] - 1)
+        slot = np.argsort(labels, kind="stable")[cells]
+        # each row is its pool's CDF, cumsum(w / pool sum) with the top forced
+        # to 1 against rounding, and the padding at +inf where no draw lands;
+        # pools of zero mass, never drawn, turn to NaN
+        with np.errstate(invalid="ignore"):
+            cdf = np.cumsum(pset.part_weights[slot, k - 1] / sums[:, None], axis=1)
+        cdf[np.arange(len(sizes)), sizes - 1] = 1.0
+        cdf[np.arange(cdf.shape[1]) >= sizes[:, None]] = np.inf
+        u = np.empty(n)
+        u[by_group] = 1.0 - rng.random(n)
+        pool = labels[groups.reps[chosen]]
+        # the count of CDF entries below u is searchsorted(side="left")
+        donors[k] = slot[pool, np.count_nonzero(cdf[pool] < u[:, None], axis=1)]
     return groups, chosen, donors
 
 
@@ -363,13 +354,7 @@ def combinatorial_resample(
     account for all weights, so the output is equal-weighted.
     """
     groups, chosen, donors = combinatorial_draw(pset, dbn, stage, rng)
-    states = assemble_combinatorial(pset, dbn, stage, groups, chosen, donors)
-    n, p = pset.n, pset.part_count
-    return ParticleSet(
-        states=states,
-        part_weights=np.ones((n, p)),
-        weights=np.full(n, 1.0 / n),
-    )
+    return _equal_weighted(assemble_combinatorial(pset, dbn, stage, groups, chosen, donors))
 
 
 def assemble_combinatorial(
@@ -383,94 +368,9 @@ def assemble_combinatorial(
     """States for a batch of (group, donors) draws: the processed fragment
     comes from the chosen group, each current-stage part plus its pending
     descendant fragment from that part's donor."""
-    partition = compute_partition(dbn)
-    m = len(chosen)
-    states = np.empty((m, pset.part_count, 3))
-    prev_cols = np.array([k - 1 for k in sorted(partition.processed_through(stage - 1))], dtype=int)
-    if prev_cols.size:
-        reps = np.array([mem[0] for mem in groups.members])
-        states[:, prev_cols] = pset.states[reps[chosen][:, None], prev_cols[None, :]]
-    for k in groups.parts:
-        cols = np.array([k - 1] + [d - 1 for d in sorted(descendants_within_slice(dbn, k))], dtype=int)
+    parts, prev_cols, blocks = _stage_columns(dbn, stage)
+    states = np.empty((len(chosen), pset.part_count, 3))
+    states[:, prev_cols] = pset.states[groups.reps[chosen][:, None], prev_cols[None, :]]
+    for k, cols in zip(parts, blocks):
         states[:, cols] = pset.states[donors[k][:, None], cols[None, :]]
     return states
-
-
-def _donor_pools_by_parent(pset: ParticleSet, dbn: DbnSpec, parts) -> list[list[list[int]]]:
-    """Particle index classes sharing the parent value, one list per part."""
-    out = []
-    for k in parts:
-        parent = dbn.parent_of(k)
-        if parent is None:
-            out.append([list(range(pset.n))])
-            continue
-        by: dict[bytes, list[int]] = {}
-        for i in range(pset.n):
-            by.setdefault(pset.states[i, parent - 1].tobytes(), []).append(i)
-        out.append(list(by.values()))
-    return out
-
-
-def enumerate_combinatorial_set(
-    pset: ParticleSet, dbn: DbnSpec, stage: int, max_sets: int = 20000
-) -> list[ParticleSet]:
-    """Materialize every admissible rearrangement of the set at this stage.
-
-    For each current-stage part, particles sharing the parent value may trade
-    their block (the part plus its pending descendant fragment, with the
-    part's weight attached); one rearranged set arises per combination of
-    such tradings.  Returned sets keep the input's states layout; their
-    ``weights`` hold the raw per-particle product of current-stage part
-    weights (the mass each particle carries inside the pooled ensemble), not
-    a normalized distribution.
-
-    Raises InstanceTooLarge beyond 8 particles, 3 current-stage parts, or
-    ``max_sets`` total rearrangements.
-    """
-    partition = compute_partition(dbn)
-    if not 1 <= stage <= partition.num_steps:
-        raise ValueError(f"stage must lie in 1..{partition.num_steps}")
-    parts = partition.steps[stage - 1]
-    n = pset.n
-    if n > 8:
-        raise InstanceTooLarge(f"{n} particles is past the enumeration guard (8)")
-    if len(parts) > 3:
-        raise InstanceTooLarge(f"{len(parts)} parts in one stage is past the enumeration guard (3)")
-    pools = _donor_pools_by_parent(pset, dbn, parts)
-    total = 1
-    for classes in pools:
-        for cls in classes:
-            total *= math.factorial(len(cls))
-        if total > max_sets:
-            raise InstanceTooLarge(f"more than {max_sets} rearrangements")
-
-    def permutations_of(classes: list[list[int]]):
-        # every full-set index map that permutes only within each class
-        for combo in itertools.product(*(itertools.permutations(c) for c in classes)):
-            sigma = np.arange(n)
-            for cls, perm in zip(classes, combo):
-                sigma[cls] = perm
-            yield sigma
-
-    block_cols = [
-        np.array([k - 1] + [d - 1 for d in sorted(descendants_within_slice(dbn, k))], dtype=int)
-        for k in parts
-    ]
-    part_cols = np.array([k - 1 for k in parts], dtype=int)
-    out: list[ParticleSet] = []
-    for sigmas in itertools.product(*(list(permutations_of(c)) for c in pools)):
-        states = pset.states.copy()
-        part_weights = pset.part_weights.copy()
-        for k, cols, sigma in zip(parts, block_cols, sigmas):
-            states[:, cols] = pset.states[sigma[:, None], cols[None, :]]
-            part_weights[:, k - 1] = pset.part_weights[sigma, k - 1]
-        weights = part_weights[:, part_cols].prod(axis=1)
-        out.append(
-            ParticleSet(
-                states=states,
-                part_weights=part_weights,
-                weights=weights,
-                fresh=pset.fresh,
-            )
-        )
-    return out

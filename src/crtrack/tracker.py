@@ -166,8 +166,9 @@ def ps_step(
     cannot depend on the order the partition lists them in; normalize once;
     resample once.  One normalization per stage loses nothing: every factor
     is at most 1, so a product that underflows part-way stays zero.  When
-    the final product is zero or not finite, the weights fall back to
-    uniform with one warning for the stage instead of aborting the run.
+    the final product is zero or not finite, the weights and the stage's
+    part factors fall back to uniform with one warning for the stage instead
+    of aborting the run.
     """
     resampler = _make_resampler(cfg, model.spec)
     spent = 0.0
@@ -182,6 +183,9 @@ def ps_step(
         if not np.isfinite(total) or total <= 0.0:
             log.warning("all particle weights degenerated at stage %d; resetting to uniform", stage)
             pset.weights = np.full(pset.n, 1.0 / pset.n)
+            # the combinatorial resampler draws from the part factors, so
+            # they restart at 1 too: every resampler sees the same uniform stage
+            pset.part_weights[:, [k - 1 for k in parts]] = 1.0
         else:
             pset.weights = w / total
         pset.fresh = parts

@@ -13,9 +13,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import gammaln
 
 from crtrack.dbn import DbnSpec, compute_partition
-from crtrack.resampling import ParticleSet
+from crtrack.resampling import ParticleSet, multinomial_draw
 
 
 def point_in_polygon(px: float, py: float, corners) -> bool:
@@ -111,6 +112,77 @@ def reference_rearrangements(pset: ParticleSet, spec: DbnSpec, stage: int):
                 states[i, cols] = pset.states[sigma[i], cols]
                 part_weights[i, k - 1] = pset.part_weights[sigma[i], k - 1]
         yield states, part_weights
+
+
+def reference_combinatorial_resample(
+    pset: ParticleSet, spec: DbnSpec, stage: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Resampled states of the combinatorial scheme, the slow way.
+
+    Groups and donor pools come from per-row ``tobytes`` dictionaries, the
+    group mass from the closed form term by term, and the donors of each
+    (part, group) from their own ``multinomial_draw``, groups in ascending
+    order.  The library draws the same stream in one pass per part, so the
+    two must agree bit for bit.
+    """
+    prev_cols, _ = _stage_columns(spec, stage)
+    parts = _depth_steps(spec)[stage - 1]
+    n = pset.n
+
+    def first_occurrence_labels(keys):
+        order: dict[bytes, int] = {}
+        for key in keys:
+            order.setdefault(key, len(order))
+        return np.array([order[key] for key in keys])
+
+    labels = first_occurrence_labels([pset.states[i][prev_cols].tobytes() for i in range(n)])
+    members = [np.flatnonzero(labels == h) for h in range(labels.max() + 1)]
+    sizes = np.array([len(m) for m in members]).astype(float)
+    logw = np.log(sizes)
+    group_pools = {}
+    for k in parts:
+        parent = spec.parents[k - 1]
+        if parent is None:
+            pools = [np.arange(n)]
+            pool_of_group = np.zeros(len(members), dtype=int)
+        else:
+            plabels = first_occurrence_labels(
+                [pset.states[i, parent - 1].tobytes() for i in range(n)]
+            )
+            pools = [np.flatnonzero(plabels == c) for c in range(plabels.max() + 1)]
+            pool_of_group = np.array([plabels[m[0]] for m in members])
+        group_pools[k] = [pools[c] for c in pool_of_group]
+        pool_sizes = np.array([len(pool) for pool in group_pools[k]]).astype(float)
+        pool_max = float(max(len(pool) for pool in pools))
+        pool_sums = np.array([float(pset.part_weights[pool, k - 1].sum()) for pool in pools])
+        sums = pool_sums[pool_of_group]
+        with np.errstate(divide="ignore"):
+            logw += (
+                gammaln(pool_max + 1.0)
+                - (gammaln(pool_sizes + 1.0) - gammaln(pool_sizes - sizes + 1.0))
+                + (gammaln(pool_sizes) - gammaln(pool_sizes - sizes + 1.0))
+                + np.log(sums)
+            )
+    mass = np.exp(logw - logw[np.isfinite(logw)].max())
+    mass[~np.isfinite(logw)] = 0.0
+    chosen = multinomial_draw(mass, rng, size=n)
+
+    states = np.empty_like(pset.states)
+    for j in range(n):
+        states[j][prev_cols] = pset.states[members[chosen[j]][0]][prev_cols]
+    for k in parts:
+        donors = np.empty(n, dtype=int)
+        for h in range(len(members)):
+            here = np.flatnonzero(chosen == h)
+            if here.size == 0:
+                continue
+            pool = group_pools[k][h]
+            picks = multinomial_draw(pset.part_weights[pool, k - 1], rng, size=here.size)
+            donors[here] = pool[picks]
+        cols = blocks_of(spec, k)
+        for j in range(n):
+            states[j][cols] = pset.states[donors[j]][cols]
+    return states
 
 
 def rearrangement_count(pset: ParticleSet, spec: DbnSpec, stage: int) -> int:

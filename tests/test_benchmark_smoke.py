@@ -1,7 +1,11 @@
-"""The benchmark tracer reaches into the tracker by name: it wraps
-``tracker.propagate_part`` and ``tracker.correct_part`` and reads
-``ParticleSet.fresh`` before every resample.  One short traced run checks
-that those names still exist and are still on the tracking path."""
+"""The benchmark tracer reaches into the library by name: it wraps
+``tracker.propagate_part``, ``tracker.correct_part`` and the four
+combinatorial layers (``resampling.group_compatibility``,
+``group_log_weights``, ``combinatorial_draw``, ``assemble_combinatorial``),
+reads ``ParticleSet.fresh`` before every resample and
+``CompatibilityGroups.group_count``/``part_pool_max`` after every grouping.
+One short traced run checks that those names still exist and are still on
+the tracking path."""
 
 import json
 import subprocess
@@ -24,4 +28,9 @@ def test_traced_benchmark_run_finds_every_layer():
     assert report["absent"] == []
     assert report["span_calls"]["tracker.propagate"] > 0
     assert report["span_calls"]["tracker.correct_self"] > 0
-    assert result["metrics"]["resampling.unique_frac"]["value"] > 0.0
+    for layer in ("group", "mass", "draw", "assemble"):
+        assert report["span_calls"][f"resampling.{layer}"] > 0, layer
+    metrics = result["metrics"]
+    assert metrics["resampling.unique_frac"]["value"] > 0.0
+    assert metrics["resampling.groups"]["value"] >= 1
+    assert metrics["resampling.pool_max"]["value"] >= 1

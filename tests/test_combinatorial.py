@@ -8,11 +8,10 @@ import pytest
 from crtrack.dbn import DbnSpec, compute_partition
 from crtrack.resampling import (
     DegenerateWeights,
-    InstanceTooLarge,
+    ParticleSet,
     assemble_combinatorial,
     combinatorial_draw,
     combinatorial_resample,
-    enumerate_combinatorial_set,
     group_compatibility,
     group_log_weights,
 )
@@ -21,6 +20,7 @@ from conftest import make_particle_set
 from oracles import (
     blocks_of,
     random_small_instance,
+    reference_combinatorial_resample,
     reference_rearrangements,
     union_group_masses,
     union_particle_law,
@@ -30,6 +30,22 @@ from oracles import (
 def group_key(pset, spec, stage, i):
     cols = [k - 1 for k in sorted(compute_partition(spec).processed_through(stage - 1))]
     return pset.states[i][cols].tobytes()
+
+
+def pool_of(groups, k, h):
+    """Particles in the part-k donor pool of group h, ascending."""
+    labels = groups.pools[k][0]
+    return np.flatnonzero(labels == labels[groups.reps[h]])
+
+
+def rearranged_sets(pset, spec, stage):
+    """The oracle's rearrangements as (states, part_weights, weights) with
+    the raw product of current-stage part weights per particle."""
+    part_cols = [k - 1 for k in compute_partition(spec).steps[stage - 1]]
+    return [
+        (states, pw, pw[:, part_cols].prod(axis=1))
+        for states, pw in reference_rearrangements(pset, spec, stage)
+    ]
 
 
 def normalized_masses(pset, spec, stage):
@@ -49,25 +65,32 @@ class TestGrouping:
     def test_five_part_donor_pools(self, five_part_instance):
         pset, spec, stage = five_part_instance
         groups = group_compatibility(pset, spec, stage)
-        assert [p.tolist() for p in groups.part_members[3]] == [[0, 1, 2], [0, 1, 2], [3, 4]]
-        assert [p.tolist() for p in groups.part_members[5]] == [[0, 1], [2, 3, 4], [2, 3, 4]]
+        assert groups.reps.tolist() == [0, 2, 3]
+        assert [pool_of(groups, 3, h).tolist() for h in range(3)] == [[0, 1, 2], [0, 1, 2], [3, 4]]
+        assert [pool_of(groups, 5, h).tolist() for h in range(3)] == [[0, 1], [2, 3, 4], [2, 3, 4]]
         assert groups.part_pool_max == {3: 3, 5: 3}
-        np.testing.assert_allclose(groups.part_weight_sums[3], [3.0, 3.0, 2.0])
-        np.testing.assert_allclose(groups.part_weight_sums[5], [2.0, 3.0, 3.0])
+        for k, labels, sizes, group_sums in (
+            (3, [0, 0, 0, 1, 1], [3, 2], [3.0, 3.0, 2.0]),
+            (5, [0, 0, 1, 1, 1], [2, 3], [2.0, 3.0, 3.0]),
+        ):
+            pool_labels, pool_sizes, pool_sums = groups.pools[k]
+            assert pool_labels.tolist() == labels
+            assert pool_sizes.tolist() == sizes
+            np.testing.assert_allclose(pool_sums[pool_labels[groups.reps]], group_sums)
 
     def test_groups_are_subsets_of_their_pools(self, five_part_instance):
         pset, spec, stage = five_part_instance
         groups = group_compatibility(pset, spec, stage)
         for k in groups.parts:
             for h in range(groups.group_count):
-                assert set(groups.members[h]) <= set(groups.part_members[k][h])
+                assert set(groups.members[h]) <= set(pool_of(groups, k, h))
 
     def test_stage_one_is_a_single_group(self, five_part_instance):
         pset, spec, _ = five_part_instance
         groups = group_compatibility(pset, spec, 1)
         assert groups.group_count == 1
         assert groups.members[0].tolist() == [0, 1, 2, 3, 4]
-        assert groups.part_members[1][0].tolist() == [0, 1, 2, 3, 4]
+        assert pool_of(groups, 1, 0).tolist() == [0, 1, 2, 3, 4]
 
     def test_stage_out_of_range(self, five_part_instance):
         pset, spec, _ = five_part_instance
@@ -130,11 +153,14 @@ class TestGroupMass:
 
 
 class TestEnumeration:
+    """The rearrangement ensemble, enumerated by the oracle, and the library
+    sampler's support checked against it."""
+
     def test_three_particle_instance_has_exactly_eight_sets(self, three_particle_instance):
         pset, spec, stage = three_particle_instance
-        sets = enumerate_combinatorial_set(pset, spec, stage)
+        sets = rearranged_sets(pset, spec, stage)
         assert len(sets) == 8
-        assert len({s.states.tobytes() for s in sets}) == 8
+        assert len({states.tobytes() for states, _, _ in sets}) == 8
 
     def test_three_particle_sets_are_the_block_swaps(self, three_particle_instance):
         pset, spec, stage = three_particle_instance
@@ -146,12 +172,12 @@ class TestEnumeration:
                     cols = blocks_of(spec, k)
                     states[np.ix_([0, 1], cols)] = states[np.ix_([1, 0], cols)]
             expected.add(states.tobytes())
-        got = {s.states.tobytes() for s in enumerate_combinatorial_set(pset, spec, stage)}
+        got = {states.tobytes() for states, _, _ in rearranged_sets(pset, spec, stage)}
         assert got == expected
 
     def test_original_set_is_enumerated(self, five_part_instance):
         pset, spec, stage = five_part_instance
-        keys = {s.states.tobytes() for s in enumerate_combinatorial_set(pset, spec, stage)}
+        keys = {states.tobytes() for states, _, _ in rearranged_sets(pset, spec, stage)}
         assert pset.states.tobytes() in keys
 
     def test_weights_travel_with_blocks(self, six_part_tree):
@@ -165,28 +191,34 @@ class TestEnumeration:
         pw[:, 3] = (7, 11, 13)
         pw[:, 5] = (17, 19, 23)
         pset = make_particle_set(spec, part_values, part_weights=pw)
-        sets = enumerate_combinatorial_set(pset, spec, 2)
-        weight_vectors = {tuple(s.weights.tolist()) for s in sets}
+        sets = rearranged_sets(pset, spec, 2)
+        weight_vectors = {tuple(weights.tolist()) for _, _, weights in sets}
         assert (2 * 7 * 17, 3 * 11 * 19, 5 * 13 * 23) in weight_vectors
         assert (3 * 7 * 17, 2 * 11 * 19, 5 * 13 * 23) in weight_vectors
-        for s in sets:
-            np.testing.assert_array_equal(
-                np.sort(s.part_weights[:, 1]), [2, 3, 5]
-            )
+        for _, part_weights, _ in sets:
+            np.testing.assert_array_equal(np.sort(part_weights[:, 1]), [2, 3, 5])
 
     @pytest.mark.parametrize("seed", range(8))
     def test_enumeration_matches_independent_reference(self, seed):
+        """Every (group, donors) draw the library can make, assembled, is a
+        row carrying mass in the oracle's pooled ensemble, and every such row
+        can be drawn."""
         rng = np.random.default_rng(700 + seed)
         pset, spec, stage = random_small_instance(rng, max_n=5)
-        lib = sorted(
-            (s.states.tobytes(), s.part_weights.tobytes())
-            for s in enumerate_combinatorial_set(pset, spec, stage)
-        )
-        ref = sorted(
-            (states.tobytes(), pw.tobytes())
-            for states, pw in reference_rearrangements(pset, spec, stage)
-        )
-        assert lib == ref
+        groups = group_compatibility(pset, spec, stage)
+        logw = group_log_weights(groups)
+        drawable = set()
+        for h in np.flatnonzero(np.isfinite(logw)):
+            per_part = [
+                [d for d in pool_of(groups, k, h) if pset.part_weights[d, k - 1] > 0]
+                for k in groups.parts
+            ]
+            for combo in itertools.product(*per_part):
+                donors = {k: np.array([d]) for k, d in zip(groups.parts, combo)}
+                row = assemble_combinatorial(pset, spec, stage, groups, np.array([h]), donors)[0]
+                drawable.add(row.tobytes())
+        ensemble = {key for key, prob in union_particle_law(pset, spec, stage).items() if prob > 0}
+        assert drawable == ensemble
 
     def test_set_count_is_product_of_class_factorials(self):
         for seed in range(10):
@@ -202,7 +234,7 @@ class TestEnumeration:
                     classes[key] = classes.get(key, 0) + 1
                 for size in classes.values():
                     expected *= math.factorial(size)
-            assert len(enumerate_combinatorial_set(pset, spec, stage)) == expected
+            assert len(rearranged_sets(pset, spec, stage)) == expected
 
     def test_blocks_conserved_within_parent_classes(self):
         rng = np.random.default_rng(42)
@@ -212,9 +244,9 @@ class TestEnumeration:
             set(range(spec.part_count))
             - {c for k in parts for c in blocks_of(spec, k)}
         )
-        for s in enumerate_combinatorial_set(pset, spec, stage):
+        for states, _, _ in rearranged_sets(pset, spec, stage):
             np.testing.assert_array_equal(
-                s.states[:, other_cols], pset.states[:, other_cols]
+                states[:, other_cols], pset.states[:, other_cols]
             )
             for k in parts:
                 parent = spec.parent_of(k)
@@ -225,29 +257,8 @@ class TestEnumeration:
                     classes.setdefault(key, []).append(i)
                 for rows in classes.values():
                     before = sorted(pset.states[np.ix_([r], cols)].tobytes() for r in rows)
-                    after = sorted(s.states[np.ix_([r], cols)].tobytes() for r in rows)
+                    after = sorted(states[np.ix_([r], cols)].tobytes() for r in rows)
                     assert before == after
-
-    def test_too_many_particles(self):
-        spec = DbnSpec.chain(2)
-        values = (tuple(range(9)), tuple(range(9)))
-        pset = make_particle_set(spec, values)
-        with pytest.raises(InstanceTooLarge):
-            enumerate_combinatorial_set(pset, spec, 2)
-
-    def test_too_many_stage_parts(self):
-        spec = DbnSpec.star(4, 1)
-        values = tuple((0, 1) for _ in range(5))
-        pset = make_particle_set(spec, values)
-        with pytest.raises(InstanceTooLarge):
-            enumerate_combinatorial_set(pset, spec, 2)
-
-    def test_max_sets_guard(self):
-        spec = DbnSpec.chain(2)
-        values = ((0, 0, 0, 0, 0, 0), (1, 2, 3, 4, 5, 6))
-        pset = make_particle_set(spec, values)
-        with pytest.raises(InstanceTooLarge):
-            enumerate_combinatorial_set(pset, spec, 2, max_sets=100)
 
 
 class TestDrawAndResample:
@@ -267,7 +278,7 @@ class TestDrawAndResample:
         for j in range(400):
             h = chosen[j]
             for k in groups.parts:
-                assert donors[k][j] in groups.part_members[k][h]
+                assert donors[k][j] in pool_of(groups, k, h)
 
     def test_resample_bookkeeping(self, five_part_instance):
         pset, spec, stage = five_part_instance
@@ -319,3 +330,87 @@ class TestDrawAndResample:
             abs(counts.get(key, 0) / draws - float(prob)) for key, prob in exact.items()
         )
         assert tv < 0.02
+
+
+def assert_matches_slow_path(pset, spec, stage, seed):
+    """The library resample equals the per-group loop of the oracle bit for
+    bit, and both leave the generator at the same point."""
+    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    fast = combinatorial_resample(pset, spec, stage, fast_rng).states
+    slow = reference_combinatorial_resample(pset, spec, stage, slow_rng)
+    np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+    assert fast_rng.random() == slow_rng.random()
+
+
+def crowded_set(spec, n, seed, alphabet=2):
+    """N particles whose part values come from a small alphabet, signed so
+    that 0.0 and -0.0 both occur: many groups, many shared parent values,
+    float part weights."""
+    rng = np.random.default_rng(seed)
+    shape = (n, spec.part_count, 3)
+    states = rng.integers(0, alphabet, size=shape) * 0.5 * rng.choice([-1.0, 1.0], size=shape)
+    return ParticleSet(states=states, part_weights=rng.random((n, spec.part_count)),
+                       weights=np.full(n, 1.0 / n))
+
+
+CROWDED_SPECS = {
+    "star": DbnSpec.star(3, 2),
+    "chain": DbnSpec.chain(4),
+    "forest": DbnSpec(6, (None, None, 1, 1, 2, 3)),
+}
+
+
+class TestAgainstSlowPath:
+    @pytest.mark.parametrize("case", range(30))
+    def test_random_small_instances(self, case):
+        pset, spec, stage = random_small_instance(np.random.default_rng(case))
+        for seed in range(3):
+            assert_matches_slow_path(pset, spec, stage, seed)
+
+    @pytest.mark.parametrize("name", sorted(CROWDED_SPECS))
+    @pytest.mark.parametrize("n", [40, 100])
+    def test_crowded_sets_at_every_stage(self, name, n):
+        spec = CROWDED_SPECS[name]
+        pset = crowded_set(spec, n, seed=n)
+        for stage in range(1, compute_partition(spec).num_steps + 1):
+            groups = group_compatibility(pset, spec, stage)
+            assert groups.group_count == 1 if stage == 1 else groups.group_count > 5
+            for seed in range(3):
+                assert_matches_slow_path(pset, spec, stage, seed)
+
+    def test_parts_without_a_parent(self):
+        spec = CROWDED_SPECS["forest"]
+        pset = crowded_set(spec, 30, seed=4)
+        assert compute_partition(spec).steps[0] == (1, 2)
+        for seed in range(5):
+            assert_matches_slow_path(pset, spec, 1, seed)
+
+    def test_draws_on_cdf_boundaries(self):
+        """Uniforms exactly on a pool's CDF steps and at its top: a pool of
+        ten weights 0.1 sums its CDF to just under 1, a pool of four weights
+        0.25 has steps at 0.25, 0.5 and 0.75; both groups get half the mass."""
+
+        class BoundaryStream:
+            def __init__(self):
+                self.values = itertools.cycle([0.0, 0.5, 0.75, 0.25, 0.0])
+
+            def random(self, size):
+                return np.array([next(self.values) for _ in range(size)])
+
+        spec = DbnSpec.chain(2)
+        pset = make_particle_set(spec, ((0,) * 10 + (1,) * 4, tuple(range(14))))
+        pset.part_weights[:, 1] = [0.1] * 10 + [0.25] * 4
+        fast = combinatorial_resample(pset, spec, 2, BoundaryStream()).states
+        slow = reference_combinatorial_resample(pset, spec, 2, BoundaryStream())
+        np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+
+    def test_zero_mass_pool(self):
+        spec = CROWDED_SPECS["star"]
+        pset = crowded_set(spec, 60, seed=9, alphabet=3)
+        part, parent = 2, 1
+        dead = np.all(pset.states[:, parent - 1] == pset.states[0, parent - 1], axis=1)
+        pset.part_weights[dead, part - 1] = 0.0
+        logw = group_log_weights(group_compatibility(pset, spec, 2))
+        assert np.isneginf(logw).any() and np.isfinite(logw).any()
+        for seed in range(5):
+            assert_matches_slow_path(pset, spec, 2, seed)

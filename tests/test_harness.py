@@ -306,6 +306,15 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError):
             read_results_csv(path)
 
+    def test_rejects_short_row(self, tmp_path):
+        path = tmp_path / "results.csv"
+        write_results_csv(fake_report(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(",", 1)[0] + "\n"
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match="row 2: 8 fields, not 9"):
+            read_results_csv(path)
+
 
 class TestSeries:
     def test_aggregates_sorted_by_particles(self):
@@ -492,6 +501,44 @@ class TestTrackRejectsBadInput:
     def test_unknown_tracker_setting(self, seq, capsys):
         assert self.track(seq, config={"lamda": 10.0}) == 2
         assert "unknown tracker setting 'lamda'" in capsys.readouterr().err
+
+    def test_truth_file_missing(self, seq, capsys):
+        argv = ["track", "--frames", str(seq), "--truth", str(seq / "nothere.csv")]
+        assert main(argv) == 2
+        assert "nothere.csv: cannot read" in capsys.readouterr().err
+
+    def test_frame_truncated(self, seq, capsys):
+        frame = seq / "frame_0003.pgm"
+        frame.write_bytes(frame.read_bytes()[:40])
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert "frame_0003.pgm: truncated pixel data" in err
+
+    def test_frame_header_garbled(self, seq, capsys):
+        frame = seq / "frame_0002.pgm"
+        frame.write_bytes(frame.read_bytes().replace(b"P5\n64", b"P5\n6x", 1))
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert "frame_0002.pgm: bad header field b'6x'" in err
+
+    def test_plot_input_missing(self, tmp_path, capsys):
+        rc = main(["plot", "--in", str(tmp_path / "nothere.csv"), "--out", str(tmp_path / "p.svg")])
+        assert rc == 2
+        assert "nothere.csv: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "p.svg").exists()
+
+    def test_plot_input_not_numeric(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_results_csv(fake_report(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[2] = "many"  # the particle count of the second row
+        lines[2] = ",".join(fields)
+        path.write_text("".join(lines))
+        rc = main(["plot", "--in", str(path), "--out", str(tmp_path / "p.svg")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "results.csv, row 3" in err and "many" in err
 
     def test_bench_config_not_json(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)

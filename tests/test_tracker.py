@@ -8,7 +8,7 @@ from crtrack import tracker
 from crtrack.dbn import DbnSpec, Partition, compute_partition
 from crtrack.geometry import ArticulatedModel, default_pose, render_frame
 from crtrack.likelihood import init_references
-from crtrack.resampling import ParticleSet, initial_particle_set, systematic_resample
+from crtrack.resampling import ParticleSet, initial_particle_set
 from crtrack.tracker import (
     RESAMPLER_NAMES,
     TrackerConfig,
@@ -135,15 +135,17 @@ class TestPropagate:
         assert (run(0, 1, 2) != run(0, 1, 4)).any()
 
 
-def capture_resampler_inputs(monkeypatch):
-    """Record a copy of every set handed to the systematic resampler."""
+def capture_resampler_inputs(monkeypatch, name="systematic"):
+    """Record a copy of every set handed to the named resampler."""
     seen = []
+    attr = f"{name}_resample"
+    original = getattr(tracker, attr)
 
-    def recording(pset, rng):
+    def recording(pset, *args):
         seen.append(pset.copy())
-        return systematic_resample(pset, rng)
+        return original(pset, *args)
 
-    monkeypatch.setattr(tracker, "systematic_resample", recording)
+    monkeypatch.setattr(tracker, attr, recording)
     return seen
 
 
@@ -196,17 +198,18 @@ class TestCorrect:
             np.testing.assert_array_equal(a.part_weights, b.part_weights)
             np.testing.assert_array_equal(a.weights, b.weights)
 
-    def test_total_underflow_falls_back_to_uniform(self, monkeypatch, caplog):
-        seen = capture_resampler_inputs(monkeypatch)
+    @pytest.mark.parametrize("resampler", RESAMPLER_NAMES)
+    def test_total_underflow_falls_back_to_uniform(self, resampler, monkeypatch, caplog):
+        seen = capture_resampler_inputs(monkeypatch, resampler)
         model, frame, refs, pset, _ = self.stage_inputs(n=4, seed=5)
-        cfg = TrackerConfig(particle_count=4, lam=1e9, sigma_xy=25.0, seed=5)
+        cfg = TrackerConfig(particle_count=4, resampler=resampler, lam=1e9, sigma_xy=25.0, seed=5)
         dark = np.zeros_like(frame)  # no particle matches its reference on a blank frame
         partition = partition_for(model.spec, "parallel")
         with caplog.at_level(logging.WARNING, logger="crtrack.tracker"):
             ps_step(pset, dark, partition, model, refs, cfg, 1)
         assert len(seen) == partition.num_steps
         for s in seen:
-            np.testing.assert_array_equal(s.part_weights[:, [k - 1 for k in s.fresh]], 0.0)
+            np.testing.assert_array_equal(s.part_weights[:, [k - 1 for k in s.fresh]], 1.0)
             np.testing.assert_array_equal(s.weights, 0.25)
         resets = [rec for rec in caplog.records if "uniform" in rec.message]
         assert len(resets) == partition.num_steps  # one per stage, not one per part
