@@ -15,7 +15,7 @@ from .harness import (
     run_benchmark,
     write_results_csv,
 )
-from .likelihood import Histogram8, LikelihoodParams, bhattacharyya, region_histogram
+from .likelihood import Histogram8
 from .resampling import (
     CompatibilityGroups,
     ParticleSet,
@@ -34,7 +34,6 @@ __all__ = [
     "CompatibilityGroups",
     "DbnSpec",
     "Histogram8",
-    "LikelihoodParams",
     "MotionParams",
     "Partition",
     "ParticleSet",
@@ -42,7 +41,6 @@ __all__ = [
     "SequenceSpec",
     "TrackResult",
     "TrackerConfig",
-    "bhattacharyya",
     "combinatorial_resample",
     "compute_partition",
     "default_pose",
@@ -54,7 +52,6 @@ __all__ = [
     "group_compatibility",
     "group_log_weights",
     "initial_particle_set",
-    "region_histogram",
     "render_frame",
     "run_benchmark",
     "track_sequence",

@@ -75,10 +75,6 @@ class DbnSpec:
     def children_of(self, k: int) -> tuple[int, ...]:
         return tuple(c for c in self.part_ids if self.parents[c - 1] == k)
 
-    @property
-    def within_slice_parent(self) -> dict[int, Optional[int]]:
-        return {k: self.parents[k - 1] for k in self.part_ids}
-
 
 def validate_structure(spec: DbnSpec) -> None:
     """Check that the within-slice links form a forest over 1..P.

@@ -74,50 +74,38 @@ class ArticulatedModel:
 _CORNERS = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 
 
-def place_polygon(model: ArticulatedModel, k: int, state) -> np.ndarray:
-    """Corners (4, 2) of part k at the given (x, y, theta) row.
-
-    Order is fixed: counterclockwise starting at the base-left corner, i.e.
-    local (-L/2, -W/2), (L/2, -W/2), (L/2, W/2), (-L/2, W/2) rotated by theta
-    and translated to the centre.
-    """
-    x, y, theta = float(state[0]), float(state[1]), float(state[2])
-    length, width = model.lengths[k - 1], model.widths[k - 1]
-    c, s = math.cos(theta), math.sin(theta)
-    local = _CORNERS * (length, width)
-    return np.column_stack(
-        (x + local[:, 0] * c - local[:, 1] * s, y + local[:, 0] * s + local[:, 1] * c)
-    )
+def _place(states: np.ndarray, lengths, widths) -> np.ndarray:
+    # Corners (N, 4, 2) of N rectangles, sizes scalar or per-row columns.
+    # Cosines and sines come from ``math``, one call per row.
+    theta = states[:, 2].tolist()
+    c = np.array([math.cos(t) for t in theta])[:, None]
+    s = np.array([math.sin(t) for t in theta])[:, None]
+    lx, ly = _CORNERS[:, 0] * lengths, _CORNERS[:, 1] * widths
+    x, y = states[:, 0, None], states[:, 1, None]
+    return np.stack((x + lx * c - ly * s, y + lx * s + ly * c), axis=2)
 
 
 def place_polygons(model: ArticulatedModel, k: int, states) -> np.ndarray:
     """Corners (N, 4, 2) of part k at every (x, y, theta) row of ``states``.
 
-    Row i equals ``place_polygon(model, k, states[i])`` bit for bit: the same
-    float expressions, with cosines and sines taken from ``math`` as there.
+    Order is fixed: counterclockwise starting at the base-left corner, i.e.
+    local (-L/2, -W/2), (L/2, -W/2), (L/2, W/2), (-L/2, W/2) rotated by theta
+    and translated to the centre.
     """
-    states = np.asarray(states, dtype=float)
-    theta = states[:, 2].tolist()
-    c = np.array([math.cos(t) for t in theta])[:, None]
-    s = np.array([math.sin(t) for t in theta])[:, None]
-    local = _CORNERS * (model.lengths[k - 1], model.widths[k - 1])
-    x, y = states[:, 0, None], states[:, 1, None]
-    return np.stack(
-        (x + local[:, 0] * c - local[:, 1] * s, y + local[:, 0] * s + local[:, 1] * c), axis=2
-    )
+    return _place(np.asarray(states, dtype=float), model.lengths[k - 1], model.widths[k - 1])
+
+
+def place_polygon(model: ArticulatedModel, k: int, state) -> np.ndarray:
+    """Corners (4, 2) of part k at one (x, y, theta): ``place_polygons`` for
+    one row."""
+    return place_polygons(model, k, np.asarray(state, dtype=float)[None])[0]
 
 
 def object_corners(model: ArticulatedModel, state: ObjectState) -> np.ndarray:
-    """Corners of every part, shape (P, 4, 2)."""
-    state = np.asarray(state, dtype=float)
-    lengths = np.asarray(model.lengths)
-    widths = np.asarray(model.widths)
-    local = _CORNERS[None, :, :] * np.stack((lengths, widths), axis=1)[:, None, :]
-    c = np.cos(state[:, 2])[:, None]
-    s = np.sin(state[:, 2])[:, None]
-    gx = state[:, 0][:, None] + local[:, :, 0] * c - local[:, :, 1] * s
-    gy = state[:, 1][:, None] + local[:, :, 0] * s + local[:, :, 1] * c
-    return np.stack((gx, gy), axis=2)
+    """Corners of every part, shape (P, 4, 2); row k - 1 equals
+    ``place_polygons(model, k, state[k - 1 : k])[0]`` bit for bit."""
+    lengths, widths = np.asarray(model.lengths)[:, None], np.asarray(model.widths)[:, None]
+    return _place(np.asarray(state, dtype=float), lengths, widths)
 
 
 def tip_point(model: ArticulatedModel, k: int, state) -> tuple[float, float]:
@@ -206,46 +194,19 @@ def ground_truth_step(
     return out
 
 
-def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
-    """Scanline fill of a simple polygon over the pixel grid block starting at
-    (x0, y0), shape (ny, nx).
-
-    A pixel belongs to the polygon iff its centre (ix + 0.5, iy + 0.5) lies
-    inside under the even-odd crossing rule with half-open edge spans
-    (y1 <= yc < y2) and a strict x comparison.  Centres strictly inside are
-    always in; centres exactly on the boundary resolve consistently, so
-    translating a polygon by whole pixels translates its fill.
-    """
-    mask = np.zeros((ny, nx), dtype=bool)
-    if nx <= 0 or ny <= 0:
-        return mask
-    yc = y0 + np.arange(ny) + 0.5
-    xc = x0 + np.arange(nx) + 0.5
-    n = len(corners)
-    for e in range(n):
-        x1, y1 = corners[e]
-        x2, y2 = corners[(e + 1) % n]
-        if y1 == y2:
-            continue
-        rows = ((y1 <= yc) & (yc < y2)) | ((y2 <= yc) & (yc < y1))
-        if not rows.any():
-            continue
-        t = (yc[rows] - y1) / (y2 - y1)
-        xint = x1 + t * (x2 - x1)
-        mask[rows] ^= xc[None, :] < xint[:, None]
-    return mask
-
-
 def polygon_masks(
     corners: np.ndarray, x0: np.ndarray, y0: np.ndarray, nx: np.ndarray, ny: np.ndarray
 ) -> np.ndarray:
-    """Fills of N polygons at once over one padded window, shape
-    (N, max ny, max nx).
+    """Scanline fills of N simple polygons at once, shape (N, max ny, max nx).
 
-    Entry i is ``polygon_mask(corners[i], x0[i], y0[i], nx[i], ny[i])`` in its
-    top-left corner, bit for bit: the same crossing rule and float
-    expressions, each polygon on its own grid origin.  Padded cells are never
-    set: their rows get no crossing and their columns a centre at +inf.
+    Entry i covers the pixel block of size (ny[i], nx[i]) at (x0[i], y0[i])
+    in its top-left corner.  A pixel belongs to a polygon iff its centre
+    (ix + 0.5, iy + 0.5) lies inside under the even-odd crossing rule with
+    half-open edge spans (y1 <= yc < y2) and a strict x comparison.  Centres
+    strictly inside are always in; centres exactly on the boundary resolve
+    consistently, so translating a polygon by whole pixels translates its
+    fill.  Padded cells are never set: their rows get no crossing and their
+    columns a centre at +inf.
     """
     n, m = corners.shape[:2]
     rows = np.arange(int(ny.max(initial=0)))
@@ -267,19 +228,16 @@ def polygon_masks(
     return mask
 
 
-def polygon_bbox(corners: np.ndarray, width: int, height: int) -> tuple[int, int, int, int]:
-    """Pixel block (x0, y0, nx, ny) covering the polygon, clipped to canvas."""
-    x0 = max(0, int(math.floor(corners[:, 0].min() - 0.5)))
-    y0 = max(0, int(math.floor(corners[:, 1].min() - 0.5)))
-    x1 = min(width - 1, int(math.ceil(corners[:, 0].max() + 0.5)))
-    y1 = min(height - 1, int(math.ceil(corners[:, 1].max() + 0.5)))
-    return x0, y0, max(0, x1 - x0 + 1), max(0, y1 - y0 + 1)
+def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
+    """Fill (ny, nx) of one polygon over the block at (x0, y0):
+    ``polygon_masks`` for one polygon."""
+    return polygon_masks(corners[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0]
 
 
 def polygon_bboxes(corners: np.ndarray, width: int, height: int):
-    """``polygon_bbox`` of N polygons, corners (N, 4, 2): int arrays
-    (x0, y0, nx, ny).  Origins are clipped to the canvas size too, which only
-    moves blocks that are empty anyway."""
+    """Pixel blocks covering N polygons, corners (N, 4, 2), clipped to the
+    canvas: int arrays (x0, y0, nx, ny).  A polygon wholly off the canvas
+    gets an empty block."""
     lo = np.floor(corners.min(axis=1) - 0.5)
     hi = np.ceil(corners.max(axis=1) + 0.5)
     size = np.array([width, height])
@@ -312,13 +270,12 @@ def render_frame(model: ArticulatedModel, state: ObjectState, width: int, height
     with its own intensity, higher part ids painted on top."""
     img = np.zeros((height, width), dtype=np.uint8)
     p = model.part_count
-    for k in range(1, p + 1):
-        corners = place_polygon(model, k, state[k - 1])
-        x0, y0, nx, ny = polygon_bbox(corners, width, height)
-        if nx == 0 or ny == 0:
-            continue
-        mask = polygon_mask(corners, x0, y0, nx, ny)
-        img[y0 : y0 + ny, x0 : x0 + nx][mask] = part_intensity(k, p)
+    corners = object_corners(model, state)
+    x0, y0, nx, ny = polygon_bboxes(corners, width, height)
+    masks = polygon_masks(corners, x0, y0, nx, ny)
+    for i in range(p):
+        block = img[y0[i] : y0[i] + ny[i], x0[i] : x0[i] + nx[i]]
+        block[masks[i, : ny[i], : nx[i]]] = part_intensity(i + 1, p)
     return img
 
 

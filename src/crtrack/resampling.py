@@ -245,10 +245,14 @@ def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> Compatib
     labels, reps = _row_labels(pset.states[:, prev_cols] if prev_cols.size else alike)
     members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
+    # donor-pool labels, built once per parent that the stage's parts share
+    parent_labels = {
+        p: _row_labels(alike if p is None else pset.states[:, p - 1])[0]
+        for p in {dbn.parent_of(k) for k in parts}
+    }
     pools = {}
     for k in parts:
-        parent = dbn.parent_of(k)
-        plabels = _row_labels(alike if parent is None else pset.states[:, parent - 1])[0]
+        plabels = parent_labels[dbn.parent_of(k)]
         w = pset.part_weights[:, k - 1]
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise DegenerateWeights(f"part {k} weights must be finite and nonnegative")

@@ -9,6 +9,7 @@ exactly as many resamples as the partition has stages.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass
 
@@ -18,8 +19,8 @@ from .dbn import DbnSpec, Partition, compute_partition
 from .geometry import ArticulatedModel, ObjectState, estimation_error, place_polygons, wrap_angle
 from .likelihood import Histogram8, init_references, part_factors
 
-# The scalar scoring path that ``part_factors`` reproduces bit for bit stays
-# importable here, so tools that wrap the tracker's helpers by name find it.
+# One-part forms of the scoring kernel, importable here because the
+# benchmark tracer wraps the tracker's helpers by these names.
 from .geometry import place_polygon  # noqa: F401
 from .likelihood import bhattacharyya, part_weight_factor, region_histogram  # noqa: F401
 from .resampling import (
@@ -65,6 +66,9 @@ class TrackerConfig:
     def __post_init__(self):
         if self.particle_count < 1:
             raise ValueError("particle_count must be >= 1")
+        for name in ("sigma_xy", "sigma_theta", "lam", "weighted_exponent"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.sigma_xy < 0 or self.sigma_theta < 0:
             raise ValueError("proposal sigmas must be >= 0")
         if self.resampler not in RESAMPLER_NAMES:
@@ -75,7 +79,7 @@ class TrackerConfig:
             raise ValueError("combinatorial resampling needs the parallel partition")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        if not self.lam >= 0:  # also rejects NaN
+        if self.lam < 0:
             raise ValueError("lam must be >= 0")
 
 

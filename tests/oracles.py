@@ -1,9 +1,9 @@
 """Independent reference computations for the test suite.
 
 Everything here is deliberately written the slow, obvious way (scalar loops,
-exact integer arithmetic, pure-python permutation enumeration) so the fast
-library code can be checked against a second route that shares no logic with
-it beyond the data containers.
+one polygon and one pixel at a time, exact integer arithmetic, pure-python
+permutation enumeration) so the fast library code can be checked against a
+second route that shares no logic with it beyond the data containers.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import numpy as np
 from scipy.special import gammaln
 
 from crtrack.dbn import DbnSpec, compute_partition
+from crtrack.geometry import part_intensity
+from crtrack.likelihood import BIN_COUNT, Histogram8
 from crtrack.resampling import ParticleSet, multinomial_draw
 
 
@@ -40,6 +42,97 @@ def brute_force_mask(corners, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
         for col in range(nx):
             mask[row, col] = point_in_polygon(x0 + col + 0.5, y0 + row + 0.5, corners)
     return mask
+
+
+def polygon_mask(corners, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
+    """Scanline fill of one simple polygon over the pixel block at (x0, y0),
+    shape (ny, nx): even-odd crossings with half-open edge spans
+    (y1 <= yc < y2) and a strict x comparison at the pixel centres.
+
+    This is the scalar rasterizer the batched ``polygon_masks`` reproduces,
+    float expression for float expression.  ``brute_force_mask`` computes
+    each crossing in another order, which can round a centre lying exactly
+    on an edge to the other side (a diagonal edge traversed both ways, as in
+    a degenerate quad, shows it), so the bit-for-bit checks use this one.
+    """
+    mask = np.zeros((ny, nx), dtype=bool)
+    if nx <= 0 or ny <= 0:
+        return mask
+    yc = y0 + np.arange(ny) + 0.5
+    xc = x0 + np.arange(nx) + 0.5
+    n = len(corners)
+    for e in range(n):
+        x1, y1 = corners[e]
+        x2, y2 = corners[(e + 1) % n]
+        if y1 == y2:
+            continue
+        rows = ((y1 <= yc) & (yc < y2)) | ((y2 <= yc) & (yc < y1))
+        if not rows.any():
+            continue
+        t = (yc[rows] - y1) / (y2 - y1)
+        xint = x1 + t * (x2 - x1)
+        mask[rows] ^= xc[None, :] < xint[:, None]
+    return mask
+
+
+def place_polygon(model, k: int, state) -> np.ndarray:
+    """Corners (4, 2) of part k at one (x, y, theta) row: counterclockwise
+    from local (-L/2, -W/2), rotated with ``math.cos``/``math.sin``."""
+    x, y, theta = float(state[0]), float(state[1]), float(state[2])
+    length, width = model.lengths[k - 1], model.widths[k - 1]
+    c, s = math.cos(theta), math.sin(theta)
+    local = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]) * (length, width)
+    return np.column_stack(
+        (x + local[:, 0] * c - local[:, 1] * s, y + local[:, 0] * s + local[:, 1] * c)
+    )
+
+
+def polygon_bbox(corners, width: int, height: int) -> tuple[int, int, int, int]:
+    """Pixel block (x0, y0, nx, ny) covering one polygon, clipped to canvas."""
+    x0 = max(0, int(math.floor(corners[:, 0].min() - 0.5)))
+    y0 = max(0, int(math.floor(corners[:, 1].min() - 0.5)))
+    x1 = min(width - 1, int(math.ceil(corners[:, 0].max() + 0.5)))
+    y1 = min(height - 1, int(math.ceil(corners[:, 1].max() + 0.5)))
+    return x0, y0, max(0, x1 - x0 + 1), max(0, y1 - y0 + 1)
+
+
+def region_histogram(image: np.ndarray, corners) -> Histogram8:
+    """Histogram of the pixels of ``image`` whose centres fall inside one
+    quadrilateral (``polygon_mask`` over its clipped bounding box); uniform
+    and flagged empty for a region with no pixel."""
+    height, width = image.shape
+    x0, y0, nx, ny = polygon_bbox(corners, width, height)
+    if nx > 0 and ny > 0:
+        values = image[y0 : y0 + ny, x0 : x0 + nx][polygon_mask(corners, x0, y0, nx, ny)]
+        if values.size:
+            return Histogram8(np.bincount(values >> 5, minlength=BIN_COUNT) / values.size)
+    return Histogram8(np.full(BIN_COUNT, 1.0 / BIN_COUNT), empty=True)
+
+
+def bhattacharyya(p: Histogram8, q: Histogram8) -> float:
+    """sqrt(1 - sum_i sqrt(p_i q_i)), the argument clamped at zero."""
+    coeff = float(np.sqrt(p.bins * q.bins).sum())
+    return math.sqrt(max(0.0, 1.0 - coeff))
+
+
+def part_factor(image: np.ndarray, corners, ref: Histogram8, lam: float) -> float:
+    """Likelihood factor exp(-lam d^2) of one placement against ``ref``."""
+    distance = bhattacharyya(region_histogram(image, corners), ref)
+    return math.exp(-lam * distance * distance)
+
+
+def render_frame(model, state, width: int, height: int) -> np.ndarray:
+    """Frame painted part by part in ascending id, each part's pixels from
+    ``polygon_mask`` over its clipped bounding box."""
+    img = np.zeros((height, width), dtype=np.uint8)
+    p = model.part_count
+    for k in range(1, p + 1):
+        corners = place_polygon(model, k, state[k - 1])
+        x0, y0, nx, ny = polygon_bbox(corners, width, height)
+        if nx > 0 and ny > 0:
+            block = img[y0 : y0 + ny, x0 : x0 + nx]
+            block[polygon_mask(corners, x0, y0, nx, ny)] = part_intensity(k, p)
+    return img
 
 
 def _ancestors(spec: DbnSpec, k: int) -> list[int]:

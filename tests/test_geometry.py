@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from crtrack import geometry
 from crtrack.dbn import DbnSpec
 from crtrack.geometry import (
     ArticulatedModel,
@@ -14,18 +15,16 @@ from crtrack.geometry import (
     ground_truth_step,
     object_corners,
     part_intensity,
-    place_polygon,
     place_polygons,
-    polygon_bbox,
     polygon_bboxes,
-    polygon_mask,
     polygon_masks,
     render_frame,
     tip_point,
     wrap_angle,
 )
 
-from oracles import brute_force_mask
+import oracles
+from oracles import brute_force_mask, place_polygon, polygon_bbox, polygon_mask
 
 
 def chain_model(parts, length=10.0, width=4.0):
@@ -37,8 +36,18 @@ def star_model(arms, arm_length, length=10.0, width=4.0):
 
 
 def base_midpoint(model, k, state_row):
-    corners = place_polygon(model, k, state_row)
+    corners = place_polygons(model, k, [state_row])[0]
     return (corners[0] + corners[3]) / 2.0
+
+
+def mask_of_one(corners, x0, y0, nx, ny):
+    """``polygon_masks`` of one polygon on one block."""
+    return polygon_masks(np.asarray(corners)[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0]
+
+
+def bbox_of_one(corners, width, height):
+    """``polygon_bboxes`` of one polygon, as plain ints."""
+    return tuple(int(v[0]) for v in polygon_bboxes(np.asarray(corners)[None], width, height))
 
 
 class TestWrapAngle:
@@ -86,14 +95,14 @@ class TestModelValidation:
 class TestPlacement:
     def test_identity_pose_corners(self):
         model = chain_model(1, 10.0, 4.0)
-        corners = place_polygon(model, 1, np.array([0.0, 0.0, 0.0]))
+        corners = place_polygons(model, 1, np.array([[0.0, 0.0, 0.0]]))[0]
         np.testing.assert_array_equal(
             corners, [(-5.0, -2.0), (5.0, -2.0), (5.0, 2.0), (-5.0, 2.0)]
         )
 
     def test_translation_and_rotation(self):
         model = chain_model(1, 10.0, 4.0)
-        corners = place_polygon(model, 1, np.array([3.0, 7.0, math.pi / 2.0]))
+        corners = place_polygons(model, 1, np.array([[3.0, 7.0, math.pi / 2.0]]))[0]
         np.testing.assert_allclose(
             corners, [(5.0, 2.0), (5.0, 12.0), (1.0, 12.0), (1.0, 2.0)], atol=1e-12
         )
@@ -107,7 +116,10 @@ class TestPlacement:
         allc = object_corners(model, state)
         assert allc.shape == (7, 4, 2)
         for k in range(1, 8):
-            np.testing.assert_allclose(allc[k - 1], place_polygon(model, k, state[k - 1]))
+            one = place_polygons(model, k, state[k - 1 : k])[0]
+            np.testing.assert_array_equal(allc[k - 1].view(np.int64), one.view(np.int64))
+            want = place_polygon(model, k, state[k - 1])
+            np.testing.assert_array_equal(allc[k - 1].view(np.int64), want.view(np.int64))
 
     def test_tip_point(self):
         model = chain_model(1, 10.0, 4.0)
@@ -235,45 +247,45 @@ def convex_polygons(draw):
 class TestRasterization:
     def test_axis_aligned_rectangle_pixel_set(self):
         corners = np.array([(0.5, 0.5), (2.5, 0.5), (2.5, 2.5), (0.5, 2.5)])
-        mask = polygon_mask(corners, 0, 0, 4, 4)
+        mask = mask_of_one(corners, 0, 0, 4, 4)
         expected = np.zeros((4, 4), dtype=bool)
         expected[0:2, 0:2] = True
         np.testing.assert_array_equal(mask, expected)
 
     def test_ten_by_four_rectangle_has_forty_pixels(self):
         model = chain_model(1, 10.0, 4.0)
-        corners = place_polygon(model, 1, np.array([10.0, 8.0, 0.0]))
-        mask = polygon_mask(corners, 0, 0, 20, 16)
+        corners = place_polygons(model, 1, np.array([[10.0, 8.0, 0.0]]))[0]
+        mask = mask_of_one(corners, 0, 0, 20, 16)
         assert mask.sum() == 40
 
     def test_whole_pixel_translation_translates_fill(self):
         corners = np.array([(3.2, 2.7), (8.9, 3.4), (6.1, 7.8)])
-        base = polygon_mask(corners, 0, 0, 16, 16)
-        moved = polygon_mask(corners + (3.0, 2.0), 0, 0, 16, 16)
+        base = mask_of_one(corners, 0, 0, 16, 16)
+        moved = mask_of_one(corners + (3.0, 2.0), 0, 0, 16, 16)
         np.testing.assert_array_equal(moved[2:, 3:], base[: 16 - 2, : 16 - 3])
 
     def test_empty_block(self):
         corners = np.array([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0)])
-        assert polygon_mask(corners, 0, 0, 0, 5).size == 0
+        assert mask_of_one(corners, 0, 0, 0, 5).size == 0
 
     def test_vertex_order_irrelevant(self):
         corners = np.array([(3.2, 2.7), (8.9, 3.4), (6.1, 7.8), (2.0, 6.0)])
-        base = polygon_mask(corners, 0, 0, 12, 12)
-        np.testing.assert_array_equal(polygon_mask(np.roll(corners, 1, axis=0), 0, 0, 12, 12), base)
-        np.testing.assert_array_equal(polygon_mask(corners[::-1], 0, 0, 12, 12), base)
+        base = mask_of_one(corners, 0, 0, 12, 12)
+        np.testing.assert_array_equal(mask_of_one(np.roll(corners, 1, axis=0), 0, 0, 12, 12), base)
+        np.testing.assert_array_equal(mask_of_one(corners[::-1], 0, 0, 12, 12), base)
 
     @given(convex_polygons())
     @settings(max_examples=40, deadline=None)
     def test_matches_scalar_crossing_oracle(self, corners):
-        mask = polygon_mask(corners, 0, 0, 18, 18)
+        mask = mask_of_one(corners, 0, 0, 18, 18)
         np.testing.assert_array_equal(mask, brute_force_mask(corners, 0, 0, 18, 18))
 
     def test_bbox_covers_fill(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
             corners = rng.uniform(2.0, 30.0, size=(4, 2))
-            x0, y0, nx, ny = polygon_bbox(corners, 32, 32)
-            full = polygon_mask(corners, 0, 0, 32, 32)
+            x0, y0, nx, ny = bbox_of_one(corners, 32, 32)
+            full = mask_of_one(corners, 0, 0, 32, 32)
             ys, xs = np.nonzero(full)
             if ys.size:
                 assert x0 <= xs.min() and xs.max() < x0 + nx
@@ -281,9 +293,12 @@ class TestRasterization:
 
     def test_bbox_clipped_to_canvas(self):
         corners = np.array([(-5.0, -5.0), (3.0, -5.0), (3.0, 3.0), (-5.0, 3.0)])
-        x0, y0, nx, ny = polygon_bbox(corners, 10, 10)
+        x0, y0, nx, ny = bbox_of_one(corners, 10, 10)
         assert (x0, y0) == (0, 0)
         assert nx <= 10 and ny <= 10
+        # wholly past the far edges: an empty block
+        _, _, nx, ny = bbox_of_one(corners + 40.0, 10, 10)
+        assert (nx, ny) == (0, 0)
 
 
 # Quarter-pixel coordinates put corners, edges and pixel centres on one
@@ -295,7 +310,7 @@ any_quads = st.one_of(quads, st.lists(free_corner, min_size=4, max_size=4).map(n
 
 
 class TestBatchedGeometry:
-    """The batched helpers equal their scalar counterparts bit for bit."""
+    """The batched helpers equal the scalar oracles bit for bit."""
 
     @given(
         st.lists(
@@ -325,6 +340,9 @@ class TestBatchedGeometry:
 
     @given(st.lists(any_quads, min_size=1, max_size=8), st.integers(1, 24), st.integers(1, 20))
     @settings(max_examples=80, deadline=None)
+    # a centre on a diagonal edge traversed both ways: the crossing order
+    # decides, and brute_force_mask's differs
+    @example([np.array([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (11.0, 11.0)])], 4, 4)
     def test_masks_and_bboxes_match_the_scalar_fill(self, polys, width, height):
         corners = np.stack(polys)
         x0, y0, nx, ny = polygon_bboxes(corners, width, height)
@@ -343,6 +361,28 @@ class TestBatchedGeometry:
         x0, y0, nx, ny = polygon_bboxes(corners, 10, 10)
         np.testing.assert_array_equal(nx, 0)
         assert polygon_masks(corners, x0, y0, nx, ny).shape == (3, 0, 0)
+
+
+
+class TestOnePartForms:
+    """``place_polygon`` and ``polygon_mask`` are the batched functions with N=1."""
+
+    def test_place_polygon_is_one_row_of_place_polygons(self):
+        model = star_model(3, 2)
+        rng = np.random.default_rng(11)
+        states = np.column_stack((rng.uniform(-50, 50, 30), rng.uniform(-50, 50, 30), rng.uniform(-7, 7, 30)))
+        for k in (1, 4):
+            batch = place_polygons(model, k, states)
+            for i in range(len(states)):
+                np.testing.assert_array_equal(geometry.place_polygon(model, k, states[i]), batch[i])
+
+    @settings(max_examples=60, deadline=None)
+    @given(convex_polygons())
+    def test_polygon_mask_is_one_polygon_of_polygon_masks(self, corners):
+        x0, y0, nx, ny = (int(v[0]) for v in polygon_bboxes(corners[None], 16, 16))
+        np.testing.assert_array_equal(
+            geometry.polygon_mask(corners, x0, y0, nx, ny), mask_of_one(corners, x0, y0, nx, ny)
+        )
 
 
 class TestIntensity:
@@ -383,6 +423,40 @@ class TestRenderFrame:
         model = chain_model(1)
         img = render_frame(model, np.array([[-50.0, -50.0, 0.0]]), 20, 16)
         assert not img.any()
+
+    @pytest.mark.parametrize("case", range(16))
+    def test_matches_the_oracle_painting(self, case):
+        """Random multi-part poses mixing overlapping, border-straddling,
+        off-canvas and quarter-pixel right-angle parts, against the oracle
+        that paints part by part in ascending id."""
+        rng = np.random.default_rng(case)
+        spec = DbnSpec.star(3, 2)
+        p = spec.part_count
+        model = ArticulatedModel(
+            spec, tuple(rng.uniform(2.0, 16.0, p)), tuple(rng.integers(2, 24, p) / 4.0)
+        )
+        width, height = int(rng.integers(8, 40)), int(rng.integers(8, 32))
+        state = np.empty((p, 3))
+        for i in range(p):
+            kind = rng.integers(4)
+            if kind == 0:  # anywhere on the canvas, most parts overlap
+                row = (rng.uniform(0, width), rng.uniform(0, height), rng.uniform(-3.1, 3.1))
+            elif kind == 1:  # across one of the four borders
+                x, y = rng.uniform(0, width), rng.uniform(0, height)
+                x, y = ((0.0, y), (float(width), y), (x, 0.0), (x, float(height)))[rng.integers(4)]
+                row = (x, y, rng.uniform(-3.1, 3.1))
+            elif kind == 2:  # wholly off the canvas
+                row = (rng.choice((-30.0, width + 30.0)), rng.uniform(-30, height + 30), 1.0)
+            else:  # on the quarter-pixel grid at a right angle
+                row = (
+                    rng.integers(0, 4 * width) / 4.0,
+                    rng.integers(0, 4 * height) / 4.0,
+                    rng.choice((0.0, math.pi / 2, -math.pi / 2, math.pi)),
+                )
+            state[i] = row
+        state[-1] = state[0]  # one exact overlap: the higher id must win
+        got = render_frame(model, state, width, height)
+        np.testing.assert_array_equal(got, oracles.render_frame(model, state, width, height))
 
 
 class TestEstimationError:

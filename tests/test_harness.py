@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -452,6 +453,17 @@ class TestTrackRejectsBadInput:
     def test_negative_lam(self, seq, capsys):
         assert self.track(seq, config={"lam": -1.0}) == 2
         assert "lam must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"sigma_xy": math.nan}, {"sigma_theta": math.inf}, {"lam": math.inf}],
+        ids=["sigma_xy-nan", "sigma_theta-inf", "lam-inf"],
+    )
+    def test_non_finite_setting(self, seq, capsys, config):
+        assert self.track(seq, config=config) == 2
+        assert f"error: bad tracker settings: {next(iter(config))} must be finite" in (
+            capsys.readouterr().err
+        )
 
     def test_truth_rows_short_of_the_frames(self, seq, capsys):
         truth = seq / "truth.csv"

@@ -11,23 +11,20 @@ from crtrack.geometry import (
     ArticulatedModel,
     default_pose,
     part_intensity,
-    place_polygon,
     place_polygons,
     render_frame,
 )
+from crtrack import likelihood
 from crtrack.likelihood import (
     BIN_COUNT,
     Histogram8,
-    LikelihoodParams,
-    bhattacharyya,
     init_references,
     part_factors,
-    part_weight_factor,
-    region_histogram,
+    region_counts,
     region_histograms,
 )
 
-from oracles import brute_force_mask
+from oracles import brute_force_mask, part_factor, place_polygon, region_histogram
 
 
 def hist(*bins):
@@ -40,56 +37,68 @@ def rect_corners(cx, cy, hx, hy, theta=0.0):
     return np.array([(cx + c * x - s * y, cy + s * x + c * y) for x, y in local])
 
 
-class TestParams:
-    def test_default(self):
-        assert LikelihoodParams().lam == 50.0
+def histogram_of_one(image, corners):
+    """``region_histograms`` of one region."""
+    return region_histograms(image, corners[None])[0]
 
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LikelihoodParams(lam=-1.0)
+
+def row_of_bins(counts):
+    """A one-row image holding ``counts[i]`` pixels of bin i, and the corners
+    (1, 4, 2) of a rectangle covering exactly that row."""
+    image = np.repeat(np.arange(BIN_COUNT, dtype=np.uint8) * 32 + 7, counts)[None, :]
+    width = float(image.shape[1])
+    return image, np.array([[(0.0, 0.0), (width, 0.0), (width, 1.0), (0.0, 1.0)]])
+
+
+def factor(counts, ref, lam):
+    """``part_factors`` of a region whose bin counts are ``counts``."""
+    image, corners = row_of_bins(counts)
+    return float(part_factors(image, corners, ref, lam)[0])
 
 
 class TestRegionHistogram:
     def test_constant_black_region(self):
         image = np.zeros((20, 20), dtype=np.uint8)
-        h = region_histogram(image, rect_corners(10, 10, 5, 5))
-        assert not h.empty
-        np.testing.assert_array_equal(h.bins, [1, 0, 0, 0, 0, 0, 0, 0])
+        corners = rect_corners(10, 10, 5, 5)
+        assert region_counts(image, corners[None]).sum() > 0
+        np.testing.assert_array_equal(histogram_of_one(image, corners), [1, 0, 0, 0, 0, 0, 0, 0])
 
     def test_half_black_half_white(self):
         image = np.zeros((20, 40), dtype=np.uint8)
         image[:, 20:] = 255
-        h = region_histogram(image, rect_corners(20, 10, 8, 5))
-        assert not h.empty
-        np.testing.assert_array_equal(h.bins, [0.5, 0, 0, 0, 0, 0, 0, 0.5])
+        h = histogram_of_one(image, rect_corners(20, 10, 8, 5))
+        np.testing.assert_array_equal(h, [0.5, 0, 0, 0, 0, 0, 0, 0.5])
 
     @pytest.mark.parametrize(
         "value,bin_index", [(0, 0), (31, 0), (32, 1), (63, 1), (64, 2), (224, 7), (255, 7)]
     )
     def test_bin_edges(self, value, bin_index):
         image = np.full((10, 10), value, dtype=np.uint8)
-        h = region_histogram(image, rect_corners(5, 5, 3, 3))
+        h = histogram_of_one(image, rect_corners(5, 5, 3, 3))
         expected = np.zeros(BIN_COUNT)
         expected[bin_index] = 1.0
-        np.testing.assert_array_equal(h.bins, expected)
+        np.testing.assert_array_equal(h, expected)
 
     def test_empty_region_is_uniform_and_flagged(self):
         image = np.zeros((10, 10), dtype=np.uint8)
-        h = region_histogram(image, rect_corners(50, 50, 2, 2))
-        assert h.empty
-        np.testing.assert_array_equal(h.bins, np.full(BIN_COUNT, 1.0 / BIN_COUNT))
+        corners = rect_corners(50, 50, 2, 2)
+        np.testing.assert_array_equal(region_counts(image, corners[None]), 0)
+        np.testing.assert_array_equal(
+            histogram_of_one(image, corners), np.full(BIN_COUNT, 1.0 / BIN_COUNT)
+        )
 
     def test_zero_area_region(self):
         image = np.zeros((10, 10), dtype=np.uint8)
-        corners = np.array([(3.0, 3.0)] * 4)
-        assert region_histogram(image, corners).empty
+        corners = np.array([[(3.0, 3.0)] * 4])
+        np.testing.assert_array_equal(region_counts(image, corners), 0)
 
     def test_partial_clipping_counts_inside_pixels_only(self):
         image = np.zeros((12, 12), dtype=np.uint8)
         image[:, :] = 96
-        h = region_histogram(image, rect_corners(0, 6, 4, 2))
-        assert not h.empty
-        np.testing.assert_array_equal(h.bins, [0, 0, 0, 1, 0, 0, 0, 0])
+        corners = rect_corners(0, 6, 4, 2)
+        # the centres x = 0.5 .. 3.5 of 4 rows lie inside the clipped rectangle
+        np.testing.assert_array_equal(region_counts(image, corners[None]), [[0, 0, 0, 16, 0, 0, 0, 0]])
+        np.testing.assert_array_equal(histogram_of_one(image, corners), [0, 0, 0, 1, 0, 0, 0, 0])
 
     @pytest.mark.parametrize("case", range(12))
     def test_matches_brute_force_membership(self, case):
@@ -106,62 +115,66 @@ class TestRegionHistogram:
         )
         mask = brute_force_mask(corners, 0, 0, 31, 24)
         values = image[mask]
-        h = region_histogram(image, corners)
+        counts = region_counts(image, corners[None])[0]
+        h = histogram_of_one(image, corners)
         if values.size == 0:
-            assert h.empty
+            np.testing.assert_array_equal(counts, 0)
+            np.testing.assert_array_equal(h, np.full(BIN_COUNT, 1.0 / BIN_COUNT))
         else:
-            counts = np.bincount(values >> 5, minlength=BIN_COUNT)
-            np.testing.assert_array_equal(h.bins, counts / values.size)
+            expected = np.bincount(values >> 5, minlength=BIN_COUNT)
+            np.testing.assert_array_equal(counts, expected)
+            np.testing.assert_array_equal(h, expected / values.size)
 
 
-normalized_bins = st.lists(
-    st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=BIN_COUNT, max_size=BIN_COUNT
-).map(np.asarray).filter(lambda b: b.sum() > 1e-6).map(lambda b: Histogram8(b / b.sum()))
+bin_counts = st.lists(st.integers(0, 40), min_size=BIN_COUNT, max_size=BIN_COUNT).filter(
+    lambda c: sum(c) > 0
+)
 
 
 class TestBhattacharyya:
+    """The distance d inside ``part_factors``, read through lam = 1, where
+    the factor is exp(-d^2)."""
+
     def test_identical_is_zero(self):
-        h = hist(0.25, 0.25, 0.5, 0, 0, 0, 0, 0)
-        assert bhattacharyya(h, h) == 0.0
+        assert factor([1, 1, 2, 0, 0, 0, 0, 0], hist(0.25, 0.25, 0.5, 0, 0, 0, 0, 0), 1.0) == 1.0
 
     def test_disjoint_is_one(self):
-        a = hist(1, 0, 0, 0, 0, 0, 0, 0)
-        b = hist(0, 0, 0, 0, 0, 0, 0, 1)
-        assert bhattacharyya(a, b) == 1.0
+        assert factor([3, 0, 0, 0, 0, 0, 0, 0], hist(0, 0, 0, 0, 0, 0, 0, 1), 1.0) == math.exp(-1.0)
 
     def test_black_versus_half_and_half(self):
-        a = hist(1, 0, 0, 0, 0, 0, 0, 0)
-        b = hist(0.5, 0, 0, 0, 0, 0, 0, 0.5)
-        assert bhattacharyya(a, b) == pytest.approx(0.5411961001461971, abs=1e-15)
+        got = factor([4, 0, 0, 0, 0, 0, 0, 0], hist(0.5, 0, 0, 0, 0, 0, 0, 0.5), 1.0)
+        assert got == pytest.approx(math.exp(-(0.5411961001461971**2)), rel=1e-15)
 
     def test_rounding_never_goes_negative(self):
-        bins = np.full(BIN_COUNT, 1.0 / BIN_COUNT)
-        d = bhattacharyya(Histogram8(bins), Histogram8(bins.copy()))
-        assert d == 0.0
+        ref = Histogram8(np.full(BIN_COUNT, 1.0 / BIN_COUNT))
+        assert factor([1] * BIN_COUNT, ref, 1.0) == 1.0
 
     @settings(max_examples=60, deadline=None)
-    @given(normalized_bins, normalized_bins)
+    @given(bin_counts, bin_counts)
     def test_symmetric_and_in_range(self, a, b):
-        d = bhattacharyya(a, b)
-        assert 0.0 <= d <= 1.0
-        assert d == bhattacharyya(b, a)
+        ref_a, ref_b = (Histogram8(np.array(c) / sum(c)) for c in (a, b))
+        f = factor(a, ref_b, 1.0)
+        assert math.exp(-1.0) <= f <= 1.0
+        assert f == factor(b, ref_a, 1.0)
 
 
 class TestPartWeightFactor:
+    """exp(-lam d^2) as ``part_factors`` returns it."""
+
     def test_zero_distance(self):
-        assert part_weight_factor(0.0, LikelihoodParams()) == 1.0
+        assert factor([2, 0, 0, 0, 0, 0, 0, 0], hist(1, 0, 0, 0, 0, 0, 0, 0), 50.0) == 1.0
 
     def test_frozen_midpoint_value(self):
-        got = part_weight_factor(0.5, LikelihoodParams(lam=50.0))
+        # sqrt(1 * 0.5625) = 0.75 exactly, so d = 0.5
+        got = factor([5, 0, 0, 0, 0, 0, 0, 0], hist(0.5625, 0.4375, 0, 0, 0, 0, 0, 0), 50.0)
         assert got == pytest.approx(3.7266531720786709e-06, rel=1e-14)
 
     def test_lam_zero_is_flat(self):
-        params = LikelihoodParams(lam=0.0)
-        assert part_weight_factor(0.9, params) == 1.0
+        assert factor([0, 0, 0, 0, 0, 0, 0, 9], hist(1, 0, 0, 0, 0, 0, 0, 0), 0.0) == 1.0
 
     def test_monotone_in_distance(self):
-        params = LikelihoodParams()
-        factors = [part_weight_factor(d, params) for d in np.linspace(0, 1, 11)]
+        refs = [hist(1 - t, t, 0, 0, 0, 0, 0, 0) for t in np.linspace(0, 1, 11)]
+        factors = [factor([6, 0, 0, 0, 0, 0, 0, 0], ref, 50.0) for ref in refs]
         assert all(a > b for a, b in zip(factors, factors[1:]))
 
 
@@ -220,20 +233,12 @@ def scored_batches(draw):
 
 
 def scalar_factors(image, model, states, ref, lam):
-    params = LikelihoodParams(lam)
-    return np.array(
-        [
-            part_weight_factor(
-                bhattacharyya(region_histogram(image, place_polygon(model, 1, row)), ref), params
-            )
-            for row in states
-        ]
-    )
+    return np.array([part_factor(image, place_polygon(model, 1, row), ref, lam) for row in states])
 
 
 class TestBatchedKernel:
-    """``part_factors`` against the scalar region_histogram -> bhattacharyya
-    -> part_weight_factor path, compared bit for bit."""
+    """``region_histograms`` and ``part_factors`` against the oracles' scalar
+    histogram -> distance -> ``math.exp`` chain, compared bit for bit."""
 
     @given(scored_batches(), st.sampled_from((0.0, 1.0, 50.0, 200.0)))
     @settings(max_examples=150, deadline=None)
@@ -277,6 +282,39 @@ class TestBatchedKernel:
         np.testing.assert_array_equal(region_histograms(image, corners), whole)
 
 
+
+class TestOnePartForms:
+    """The one-part names are the batched kernel with N=1, not a second path."""
+
+    def test_region_histogram_is_row_zero_of_the_batch(self):
+        image = np.random.default_rng(7).integers(0, 256, size=(30, 40), dtype=np.uint8)
+        model = ArticulatedModel.uniform(DbnSpec.chain(1), 12.0, 5.0)
+        rng = np.random.default_rng(8)
+        states = np.column_stack(
+            (rng.uniform(-10, 50, 60), rng.uniform(-10, 40, 60), rng.uniform(-3, 3, 60))
+        )
+        corners = place_polygons(model, 1, states)
+        hists = region_histograms(image, corners)
+        empty = region_counts(image, corners).sum(axis=1) == 0
+        assert empty.any() and not empty.all()
+        for i in range(len(corners)):
+            one = likelihood.region_histogram(image, corners[i])
+            np.testing.assert_array_equal(one.bins, hists[i])
+            assert one.empty == empty[i]
+
+    def test_part_factors_is_distance_then_factor(self):
+        image = np.random.default_rng(9).integers(0, 256, size=(30, 40), dtype=np.uint8)
+        model = ArticulatedModel.uniform(DbnSpec.chain(1), 12.0, 5.0)
+        states = np.column_stack((np.linspace(0, 40, 25), np.linspace(0, 30, 25), np.linspace(-3, 3, 25)))
+        corners = place_polygons(model, 1, states)
+        ref = likelihood.region_histogram(image, corners[12])
+        distance = likelihood.bhattacharyya(region_histograms(image, corners), ref.bins)
+        assert distance[12] < 1e-7 and ((0.0 <= distance) & (distance <= 1.0)).all()
+        np.testing.assert_array_equal(
+            part_factors(image, corners, ref, 50.0), likelihood.part_weight_factor(distance, 50.0)
+        )
+
+
 class TestInitReferences:
     def test_single_part_reference_is_its_own_band(self):
         spec = DbnSpec.chain(1)
@@ -300,6 +338,29 @@ class TestInitReferences:
             own_bin = part_intensity(k, model.part_count) >> 5
             assert not ref.empty
             assert ref.bins[own_bin] >= 0.5
+
+    @pytest.mark.parametrize("case", range(8))
+    def test_matches_the_oracle_histograms(self, case):
+        """Every reference equals the oracle's histogram and empty flag bit
+        for bit, for rendered and random frames, with parts straddling the
+        border and parts off the canvas."""
+        rng = np.random.default_rng(case)
+        spec = DbnSpec.star(3, 2)
+        model = ArticulatedModel(
+            spec, tuple(rng.uniform(3.0, 14.0, 7)), tuple(rng.uniform(1.5, 6.0, 7))
+        )
+        width, height = int(rng.integers(20, 60)), int(rng.integers(16, 48))
+        pose = default_pose(model, (rng.uniform(-10, width + 10), rng.uniform(-10, height + 10)))
+        pose[:, 2] += rng.uniform(-0.4, 0.4, 7)
+        if case % 2:
+            image = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
+        else:
+            image = render_frame(model, pose, width, height)
+        refs = init_references(image, model, pose)
+        for k, ref in enumerate(refs, start=1):
+            want = region_histogram(image, place_polygon(model, k, pose[k - 1]))
+            assert ref.empty == want.empty
+            np.testing.assert_array_equal(ref.bins.view(np.int64), want.bins.view(np.int64))
 
     def test_off_canvas_part_warns_and_falls_back(self, caplog):
         spec = DbnSpec.chain(1)

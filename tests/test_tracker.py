@@ -53,6 +53,15 @@ class TestConfig:
             dict(particle_count=5, partition_mode="bogus"),
             dict(particle_count=5, seed=-1),
             dict(particle_count=5, lam=-1.0),
+            dict(particle_count=5, sigma_xy=math.nan),
+            dict(particle_count=5, sigma_xy=math.inf),
+            dict(particle_count=5, sigma_theta=math.inf),
+            dict(particle_count=5, sigma_theta=math.nan),
+            dict(particle_count=5, lam=math.inf),
+            dict(particle_count=5, lam=math.nan),
+            dict(particle_count=5, weighted_exponent=math.inf),
+            dict(particle_count=5, weighted_exponent=-math.inf),
+            dict(particle_count=5, weighted_exponent=math.nan),
         ],
     )
     def test_rejects_bad_fields(self, kw):
