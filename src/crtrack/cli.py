@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import fields
+from pathlib import Path
+from typing import get_type_hints
 
 from .harness import (
     ConfigError,
@@ -11,6 +15,7 @@ from .harness import (
     SequenceSpec,
     build_model,
     emit_convergence_plot,
+    file_errors,
     generate_sequence,
     load_frames,
     load_json,
@@ -21,49 +26,38 @@ from .harness import (
     tracker_config,
     write_results_csv,
 )
-from .tracker import RESAMPLER_NAMES, track_sequence
+from .tracker import RESAMPLER_NAMES, TrackerConfig, track_sequence
 
-# Desk scale keeps CI runs cheap; --paper-scale restores the full protocol.
-DESK_PROFILE = {
+# SequenceSpec's defaults are the paper's protocol; desk scale overrides the
+# canvas, the sequence length and the part size to keep CI runs cheap.
+DESK_SCALE = {
     "width": 160,
     "height": 128,
     "frame_count": 60,
     "part_length": 12.0,
     "part_width": 6.0,
-    "runs": 10,
-    "particles": [25, 50, 100],
 }
-PAPER_PROFILE = {
-    "width": 800,
-    "height": 640,
-    "frame_count": 300,
-    "part_length": 30.0,
-    "part_width": 12.0,
-    "runs": 30,
-    "particles": [50, 100, 200, 400],
-}
+# (runs, particle counts) of the default bench matrix at each scale
+DESK_MATRIX = {"runs": 10, "particles": [25, 50, 100]}
+PAPER_MATRIX = {"runs": 30, "particles": [50, 100, 200, 400]}
 
 
-def _profile(paper_scale: bool) -> dict:
-    return PAPER_PROFILE if paper_scale else DESK_PROFILE
+def _check_output(path) -> None:
+    """Reject an output file whose directory is missing or unwritable, or
+    which names a directory, before any work starts."""
+    parent = Path(path).parent
+    if not parent.is_dir() or not os.access(parent, os.W_OK):
+        raise ConfigError(f"{path}: output directory {parent} is missing or not writable")
+    if Path(path).is_dir():
+        raise ConfigError(f"{path}: output path is a directory")
 
 
 def _cmd_generate(args) -> int:
-    profile = _profile(args.paper_scale)
-    spec = SequenceSpec(
-        arm_count=args.arms,
-        arm_length=args.arm_length,
-        frame_count=args.frames if args.frames is not None else profile["frame_count"],
-        width=args.width if args.width is not None else profile["width"],
-        height=args.height if args.height is not None else profile["height"],
-        sigma_xy=args.sigma_xy,
-        sigma_theta=args.sigma_theta,
-        seed=args.seed,
-        part_length=args.part_length if args.part_length is not None else profile["part_length"],
-        part_width=args.part_width if args.part_width is not None else profile["part_width"],
-        name=args.name,
-    )
-    out = generate_sequence(spec, args.out)
+    given = {f.name: getattr(args, f.name) for f in fields(SequenceSpec) if hasattr(args, f.name)}
+    scale = {} if args.paper_scale else DESK_SCALE
+    spec = SequenceSpec(**{**scale, **given})
+    with file_errors(args.out, "write"):
+        out = generate_sequence(spec, args.out)
     print(f"wrote {spec.frame_count} frames ({spec.width}x{spec.height}, "
           f"{spec.part_count} parts) to {out}")
     return 0
@@ -71,6 +65,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_track(args) -> int:
     # Every input is checked before the first frame is tracked.
+    if args.out:
+        _check_output(args.out)
     spec = load_object_spec(args.frames)
     model = build_model(spec)
     overrides = load_json(args.config) if args.config else {}
@@ -93,7 +89,7 @@ def _cmd_track(args) -> int:
     print(f"total seconds:        {result.total_seconds:.3f}")
     print(f"resample invocations: {result.resample_invocations}")
     if args.out:
-        with open(args.out, "w") as fh:
+        with file_errors(args.out, "write"), open(args.out, "w") as fh:
             fh.write("frame,error_px," +
                      ",".join(f"x{k},y{k},theta{k}" for k in range(1, model.spec.part_count + 1)) +
                      "\n")
@@ -105,30 +101,21 @@ def _cmd_track(args) -> int:
 
 
 def _default_bench_config(args) -> dict:
-    profile = _profile(args.paper_scale)
-    obj = {
-        "arm_count": 4,
-        "arm_length": 3,
-        "frame_count": profile["frame_count"],
-        "width": profile["width"],
-        "height": profile["height"],
-        "part_length": profile["part_length"],
-        "part_width": profile["part_width"],
-        "name": "star-4x3",
-    }
+    scale = {} if args.paper_scale else DESK_SCALE
     return {
         "seed": args.seed,
-        "runs": profile["runs"],
-        "particles": profile["particles"],
+        **(PAPER_MATRIX if args.paper_scale else DESK_MATRIX),
         "resamplers": list(RESAMPLER_NAMES),
-        "objects": [obj],
+        "objects": [{**scale, "name": "star-4x3"}],
     }
 
 
 def _cmd_bench(args) -> int:
+    _check_output(args.out)
     config = load_json(args.config) if args.config else _default_bench_config(args)
     report = run_benchmark(config)
-    write_results_csv(report, args.out)
+    with file_errors(args.out, "write"):
+        write_results_csv(report, args.out)
     print(f"wrote {len(report.rows)} rows to {args.out}")
     for (obj, resampler), points in sorted(report.series().items()):
         summary = "  ".join(f"N={n}: {mean:.2f}±{std:.2f}" for n, mean, std in points)
@@ -137,8 +124,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_plot(args) -> int:
+    _check_output(args.out)
     report = read_results_csv(getattr(args, "in"))
-    emit_convergence_plot(report, args.out)
+    with file_errors(args.out, "write"):
+        emit_convergence_plot(report, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -150,28 +139,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("generate", help="render a synthetic sequence to PGM frames")
+    gen = sub.add_parser(
+        "generate",
+        help="render a synthetic sequence to PGM frames",
+        argument_default=argparse.SUPPRESS,
+    )
     gen.add_argument("--out", required=True, help="output directory")
-    gen.add_argument("--arms", type=int, default=4)
-    gen.add_argument("--arm-length", type=int, default=3)
-    gen.add_argument("--frames", type=int, default=None)
-    gen.add_argument("--width", type=int, default=None)
-    gen.add_argument("--height", type=int, default=None)
-    gen.add_argument("--sigma-xy", type=float, default=1.0)
-    gen.add_argument("--sigma-theta", type=float, default=0.025)
-    gen.add_argument("--part-length", type=float, default=None)
-    gen.add_argument("--part-width", type=float, default=None)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--name", default="object")
-    gen.add_argument("--paper-scale", action="store_true")
+    gen.add_argument("--paper-scale", action="store_true", default=False)
+    # one flag per SequenceSpec field, absent unless given
+    spec_types = get_type_hints(SequenceSpec)
+    renamed = {"arm_count": "--arms", "frame_count": "--frames"}
+    for f in fields(SequenceSpec):
+        flag = renamed.get(f.name, "--" + f.name.replace("_", "-"))
+        gen.add_argument(flag, dest=f.name, type=spec_types[f.name])
     gen.set_defaults(func=_cmd_generate)
 
     trk = sub.add_parser("track", help="track one generated sequence")
     trk.add_argument("--frames", required=True, help="directory of frame_*.pgm")
     trk.add_argument("--truth", required=True, help="ground-truth CSV")
-    trk.add_argument("--resampler", choices=RESAMPLER_NAMES, default="systematic")
+    trk.add_argument("--resampler", choices=RESAMPLER_NAMES, default=TrackerConfig.resampler)
     trk.add_argument("--particles", type=int, default=100)
-    trk.add_argument("--seed", type=int, default=0)
+    trk.add_argument("--seed", type=int, default=TrackerConfig.seed)
     trk.add_argument("--config", default=None, help="JSON tracker overrides")
     trk.add_argument("--out", default=None, help="write per-frame estimates CSV")
     trk.set_defaults(func=_cmd_track)

@@ -125,10 +125,6 @@ class Partition:
         """Parts placed in steps 1..j (empty for j = 0)."""
         return frozenset(k for s in self.steps[:j] for k in s)
 
-    def pending_after(self, j: int) -> frozenset[int]:
-        """Parts placed in steps j+1..K (empty for j = K)."""
-        return frozenset(k for s in self.steps[j:] for k in s)
-
 
 @lru_cache(maxsize=None)
 def compute_partition(spec: DbnSpec) -> Partition:

@@ -216,7 +216,7 @@ def polygon_masks(
     padded = rows >= ny[:, None]
     mask = np.zeros((n, len(rows), len(cols)), dtype=bool)
     crossed = np.empty_like(mask)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for e in range(m):
             x1, y1 = corners[:, e, 0, None], corners[:, e, 1, None]
             x2, y2 = corners[:, (e + 1) % m, 0, None], corners[:, (e + 1) % m, 1, None]

@@ -6,8 +6,12 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
+import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -15,13 +19,12 @@ from .dbn import DbnSpec
 from .geometry import (
     ArticulatedModel,
     MotionParams,
-    ObjectState,
     default_pose,
     ground_truth_step,
     render_frame,
 )
 from .pgm import read_pgm, write_pgm
-from .tracker import RESAMPLER_NAMES, TrackerConfig, track_sequence
+from .tracker import TrackerConfig, track_sequence
 
 TRUTH_FILE = "truth.csv"
 OBJECT_FILE = "object.json"
@@ -35,16 +38,24 @@ class InsufficientData(ValueError):
     pass
 
 
+def _integer(value, name: str) -> int:
+    if not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, not {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SequenceSpec:
     """Synthetic star-shaped object and the sequence to film it with.
 
     The object has one central part and ``arm_count`` serial arms of
     ``arm_length`` parts each, P = 1 + arm_count * arm_length in total.
+    The defaults are the paper's protocol: a 4x3 star filmed for 300 frames
+    on an 800x640 canvas.
     """
 
-    arm_count: int
-    arm_length: int
+    arm_count: int = 4
+    arm_length: int = 3
     frame_count: int = 300
     width: int = 800
     height: int = 640
@@ -56,12 +67,27 @@ class SequenceSpec:
     name: str = "object"
 
     def __post_init__(self):
+        types = get_type_hints(SequenceSpec)
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if types[f.name] is int:
+                _integer(value, f.name)
+            elif types[f.name] is float and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
         if self.arm_count < 0:
             raise ConfigError("arm_count must be >= 0")
         if self.arm_count > 0 and self.arm_length < 1:
             raise ConfigError("arm_length must be >= 1")
         if self.frame_count < 1 or self.width < 1 or self.height < 1:
             raise ConfigError("frame_count and canvas dimensions must be >= 1")
+        if self.part_length <= 0 or self.part_width <= 0:
+            raise ConfigError("part_length and part_width must be > 0")
+        if self.sigma_xy < 0 or self.sigma_theta < 0:
+            raise ConfigError("sigma_xy and sigma_theta must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
     @property
     def part_count(self) -> int:
@@ -73,14 +99,10 @@ def build_model(spec: SequenceSpec) -> ArticulatedModel:
     return ArticulatedModel.uniform(structure, spec.part_length, spec.part_width)
 
 
-def initial_pose(spec: SequenceSpec, model: ArticulatedModel) -> ObjectState:
-    return default_pose(model, (spec.width / 2.0, spec.height / 2.0))
-
-
 def simulate_sequence(spec: SequenceSpec) -> tuple[ArticulatedModel, list[np.ndarray], np.ndarray]:
     """In-memory frames and ground truth, deterministic in ``spec.seed``."""
     model = build_model(spec)
-    pose = initial_pose(spec, model)
+    pose = default_pose(model, (spec.width / 2.0, spec.height / 2.0))
     params = MotionParams(spec.sigma_xy, spec.sigma_theta)
     rng = np.random.default_rng(spec.seed)
     margin = max(model.lengths[0], model.widths[0])
@@ -96,8 +118,7 @@ def simulate_sequence(spec: SequenceSpec) -> tuple[ArticulatedModel, list[np.nda
 def generate_sequence(spec: SequenceSpec, out_dir) -> Path:
     """Write frame_0001.pgm.. plus truth.csv (row: frame index then x, y,
     theta per part, 6 decimals) and object.json recording the generation
-    parameters.  File
-    problems surface as OSError."""
+    parameters.  File problems surface as OSError."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _, frames, truth = simulate_sequence(spec)
@@ -113,32 +134,33 @@ def generate_sequence(spec: SequenceSpec, out_dir) -> Path:
     return out
 
 
+@contextmanager
+def file_errors(path, action: str = "read"):
+    """Turn an OSError on ``path`` into a ConfigError naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"{exc.filename or path}: cannot {action}: {exc.strerror or exc}") from exc
+
+
 def load_json(path):
     """Parse one JSON input file; an unreadable or malformed file is a
     ConfigError naming the file."""
+    with file_errors(path):
+        text = Path(path).read_text()
     try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path}: not valid JSON: {exc.msg} at line {exc.lineno}, column {exc.colno}"
         ) from exc
 
 
-def _open_input(path):
-    """Open a text input file; an unreadable one is a ConfigError naming it."""
-    try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
-
-
 def load_truth(path) -> np.ndarray:
     """(T, P, 3) ground truth from a truth.csv; an unreadable file or a
     malformed row is a ConfigError naming the file (and the row)."""
     rows = []
-    with _open_input(path) as fh:
+    with file_errors(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         for record in reader:
             if not record:
@@ -168,26 +190,31 @@ def load_frames(frames_dir) -> list[np.ndarray]:
         raise ConfigError(f"no .pgm frames under {frames_dir}")
     frames = []
     for path in paths:
-        try:
-            frames.append(read_pgm(path))
-        except OSError as exc:
-            raise ConfigError(f"{path}: cannot read: {exc.strerror}") from exc
-        except ValueError as exc:  # read_pgm names the file
-            raise ConfigError(str(exc)) from exc
+        with file_errors(path):
+            try:
+                frames.append(read_pgm(path))
+            except ValueError as exc:  # read_pgm names the file
+                raise ConfigError(str(exc)) from exc
     return frames
 
 
 def load_object_spec(frames_dir) -> SequenceSpec:
     path = Path(frames_dir) / OBJECT_FILE
     if not path.exists():
-        raise ConfigError(f"{path} not found; pass an object description via --config")
+        raise ConfigError(f"{path} not found; write the sequence with `crtrack generate`")
+    description = load_json(path)
     try:
-        return SequenceSpec(**load_json(path))
-    except TypeError as exc:  # an unknown field, or not a JSON object
+        return SequenceSpec(**description)
+    except (TypeError, ConfigError) as exc:  # TypeError: an unknown field, or not a JSON object
         raise ConfigError(f"{path}: bad object description: {exc}") from exc
 
 
-TRACKER_OVERRIDES = ("sigma_xy", "sigma_theta", "lam", "weighted_exponent", "partition_mode")
+# A run sets the particle count, the resampler and the seed itself; a tracker
+# section may set every other TrackerConfig field.
+_RUN_FIELDS = {"particle_count", "resampler", "seed"}
+TRACKER_OVERRIDES = tuple(
+    f.name for f in dataclasses.fields(TrackerConfig) if f.name not in _RUN_FIELDS
+)
 
 
 def tracker_config(
@@ -195,31 +222,23 @@ def tracker_config(
 ) -> TrackerConfig:
     """Tracker settings for one run over ``spec``'s sequence.
 
-    The proposal noise defaults to the sequence's own motion noise and the
-    partition to parallel for combinatorial resampling (which needs it),
-    singleton otherwise; every other field keeps its ``TrackerConfig``
-    default.  ``overrides`` may set any of ``TRACKER_OVERRIDES``; another
-    key, or a setting the tracker rejects, is a ConfigError.
+    The proposal noise defaults to the sequence's own motion noise; every
+    other field keeps its ``TrackerConfig`` default.  ``overrides`` may set
+    any of ``TRACKER_OVERRIDES``; another key, a null, or a setting the
+    tracker rejects is a ConfigError.
     """
     overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise ConfigError("tracker overrides must be a JSON object")
-    unknown = sorted(set(overrides) - set(TRACKER_OVERRIDES))
-    if unknown:
-        raise ConfigError(
-            f"unknown tracker setting {', '.join(map(repr, unknown))} "
-            f"(choices: {', '.join(TRACKER_OVERRIDES)})"
-        )
-    settings = {
-        "sigma_xy": spec.sigma_xy,
-        "sigma_theta": spec.sigma_theta,
-        "partition_mode": "parallel" if resampler == "combinatorial" else "singleton",
-        **overrides,
-    }
+    for key, value in overrides.items():
+        if key not in TRACKER_OVERRIDES:
+            raise ConfigError(
+                f"unknown tracker setting {key!r} (choices: {', '.join(TRACKER_OVERRIDES)})"
+            )
+        if value is None:  # null would otherwise pick the default partition
+            raise ConfigError(f"tracker setting {key!r} must not be null")
+    settings = {"sigma_xy": spec.sigma_xy, "sigma_theta": spec.sigma_theta, **overrides}
     try:
-        for key in ("sigma_xy", "sigma_theta", "lam", "weighted_exponent"):
-            if key in settings:
-                settings[key] = float(settings[key])
         return TrackerConfig(
             particle_count=particles, resampler=resampler, seed=seed, **settings
         )
@@ -240,17 +259,8 @@ class BenchmarkRow:
     resample_invocations: int
 
 
-CSV_HEADER = (
-    "object",
-    "resampler",
-    "particles",
-    "run",
-    "seed",
-    "mean_error_px",
-    "resample_seconds",
-    "total_seconds",
-    "resample_invocations",
-)
+# One column per BenchmarkRow field, in order; the first is headed "object".
+CSV_HEADER = ("object", *(f.name for f in dataclasses.fields(BenchmarkRow)[1:]))
 
 
 @dataclass
@@ -263,13 +273,10 @@ class BenchmarkReport:
         for row in self.rows:
             key = (row.object_name, row.resampler)
             pools.setdefault(key, {}).setdefault(row.particles, []).append(row.mean_error_px)
-        out: dict[tuple[str, str], list[tuple[int, float, float]]] = {}
-        for key, by_n in pools.items():
-            out[key] = [
-                (n, float(np.mean(errs)), float(np.std(errs)))
-                for n, errs in sorted(by_n.items())
-            ]
-        return out
+        return {
+            key: [(n, float(np.mean(e)), float(np.std(e))) for n, e in sorted(by_n.items())]
+            for key, by_n in pools.items()
+        }
 
 
 def _cell_seed(master_seed: int, *indices: int) -> int:
@@ -288,16 +295,15 @@ def run_benchmark(config: dict) -> BenchmarkReport:
     try:
         objects = [SequenceSpec(**obj) for obj in config["objects"]]
         resamplers = list(config["resamplers"])
-        particles = [int(n) for n in config["particles"]]
-        runs = int(config["runs"])
-        master_seed = int(config.get("seed", 0))
+        particles = [_integer(n, "particles") for n in config["particles"]]
+        runs = _integer(config["runs"], "runs")
+        master_seed = _integer(config.get("seed", 0), "seed")
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad benchmark config: {exc}") from exc
     if not objects or not resamplers or not particles or runs < 1:
         raise ConfigError("objects, resamplers, particles and runs must be non-empty")
-    for name in resamplers:
-        if name not in RESAMPLER_NAMES:
-            raise ConfigError(f"unknown resampler {name!r} (choices: {', '.join(RESAMPLER_NAMES)})")
+    if master_seed < 0:
+        raise ConfigError("seed must be >= 0")
     overrides = config.get("tracker", {})
     # every cell's settings are checked before any sequence is simulated
     cells = [
@@ -335,32 +341,23 @@ def run_benchmark(config: dict) -> BenchmarkReport:
 
 
 def write_results_csv(report: BenchmarkReport, path) -> None:
-    """One header row then one row per cell; floats written with repr
-    precision so parsing the file reproduces the report exactly."""
+    """One header row then one row per cell.  ``csv`` writes a float as
+    ``str``, which is its shortest round-tripping form, so parsing the file
+    reproduces the report exactly."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
-        for row in report.rows:
-            writer.writerow(
-                [
-                    row.object_name,
-                    row.resampler,
-                    row.particles,
-                    row.run,
-                    row.seed,
-                    repr(row.mean_error_px),
-                    repr(row.resample_seconds),
-                    repr(row.total_seconds),
-                    row.resample_invocations,
-                ]
-            )
+        writer.writerows(dataclasses.astuple(row) for row in report.rows)
 
 
 def read_results_csv(path) -> BenchmarkReport:
-    """Rows of a results CSV; an unreadable file, a wrong header or a
-    malformed row is a ConfigError naming the file (and the row)."""
+    """Rows of a results CSV, each field parsed by its declared type; an
+    unreadable file, a wrong header or a malformed row is a ConfigError
+    naming the file (and the row)."""
+    types = get_type_hints(BenchmarkRow)
+    parsers = [types[f.name] for f in dataclasses.fields(BenchmarkRow)]
     rows: list[BenchmarkRow] = []
-    with _open_input(path) as fh:
+    with file_errors(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != CSV_HEADER:
@@ -372,19 +369,7 @@ def read_results_csv(path) -> BenchmarkReport:
             if len(record) != len(CSV_HEADER):
                 raise ConfigError(f"{where}: {len(record)} fields, not {len(CSV_HEADER)}")
             try:
-                rows.append(
-                    BenchmarkRow(
-                        object_name=record[0],
-                        resampler=record[1],
-                        particles=int(record[2]),
-                        run=int(record[3]),
-                        seed=int(record[4]),
-                        mean_error_px=float(record[5]),
-                        resample_seconds=float(record[6]),
-                        total_seconds=float(record[7]),
-                        resample_invocations=int(record[8]),
-                    )
-                )
+                rows.append(BenchmarkRow(*(parse(v) for parse, v in zip(parsers, record))))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
     return BenchmarkReport(rows)

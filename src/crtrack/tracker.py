@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,25 +55,36 @@ _RESAMPLE_STREAM = 2
 
 @dataclass(frozen=True)
 class TrackerConfig:
+    """Every tracker setting and its default.  Unset, ``partition_mode`` is
+    parallel for combinatorial resampling, which needs it, and singleton
+    otherwise: partitioned sampling as MacCormick & Isard run it."""
+
     particle_count: int
     resampler: str = "systematic"
     sigma_xy: float = 1.0
     sigma_theta: float = 0.025
     lam: float = 50.0
     weighted_exponent: float = 20.0
-    partition_mode: str = "parallel"
+    partition_mode: str | None = None
     seed: int = 0
 
     def __post_init__(self):
         if self.particle_count < 1:
             raise ValueError("particle_count must be >= 1")
-        for name in ("sigma_xy", "sigma_theta", "lam", "weighted_exponent"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        types = get_type_hints(TrackerConfig)
+        for f in fields(self):
+            if types[f.name] is float:
+                value = float(getattr(self, f.name))
+                if not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be finite")
+                object.__setattr__(self, f.name, value)
         if self.sigma_xy < 0 or self.sigma_theta < 0:
             raise ValueError("proposal sigmas must be >= 0")
         if self.resampler not in RESAMPLER_NAMES:
-            raise ValueError(f"unknown resampler {self.resampler!r}")
+            raise ValueError(f"unknown resampler {self.resampler!r}, not one of {RESAMPLER_NAMES}")
+        if self.partition_mode is None:
+            default = "parallel" if self.resampler == "combinatorial" else "singleton"
+            object.__setattr__(self, "partition_mode", default)
         if self.partition_mode not in ("singleton", "parallel"):
             raise ValueError(f"unknown partition mode {self.partition_mode!r}")
         if self.resampler == "combinatorial" and self.partition_mode != "parallel":

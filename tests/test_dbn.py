@@ -97,11 +97,11 @@ class TestPartition:
         partition = compute_partition(six_part_tree)
         for j in range(partition.num_steps + 1):
             done = partition.processed_through(j)
-            todo = partition.pending_after(j)
+            todo = frozenset(k for s in partition.steps[j:] for k in s)
             assert done | todo == set(six_part_tree.part_ids)
             assert not done & todo
         assert partition.processed_through(0) == frozenset()
-        assert partition.pending_after(partition.num_steps) == frozenset()
+        assert partition.processed_through(partition.num_steps) == set(six_part_tree.part_ids)
 
     def test_cached_instance_reused(self):
         a = compute_partition(DbnSpec.chain(3))
@@ -158,4 +158,4 @@ class TestDescendants:
             blocks = [descendants_within_slice(spec, k) for k in step]
             union = frozenset().union(*blocks)
             assert sum(len(b) for b in blocks) == len(union)
-            assert union == partition.pending_after(j)
+            assert union == set(spec.part_ids) - partition.processed_through(j)

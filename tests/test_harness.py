@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from crtrack.cli import main
 from crtrack.harness import (
     CSV_HEADER,
+    TRACKER_OVERRIDES,
     BenchmarkReport,
     BenchmarkRow,
     ConfigError,
@@ -72,11 +74,30 @@ class TestSequenceSpec:
             dict(frame_count=0),
             dict(width=0),
             dict(height=0),
+            dict(part_length=-3.0),
+            dict(part_length=0.0),
+            dict(part_width=0.0),
+            dict(part_length=math.nan),
+            dict(part_width=math.inf),
+            dict(sigma_xy=-1.0),
+            dict(sigma_theta=-0.1),
+            dict(sigma_xy=math.nan),
+            dict(sigma_theta=math.inf),
+            dict(arm_count=2.5),
+            dict(width=64.5),
+            dict(frame_count="3"),
+            dict(part_length="30"),
+            dict(seed=-1),
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ConfigError):
             tiny_spec(**{"arm_count": 1, "arm_length": 1, **kw})
+
+    def test_defaults_are_the_paper_scale(self):
+        spec = SequenceSpec()
+        assert (spec.arm_count, spec.arm_length, spec.frame_count) == (4, 3, 300)
+        assert (spec.width, spec.height, spec.part_length, spec.part_width) == (800, 640, 30.0, 12.0)
 
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
@@ -215,6 +236,14 @@ class TestRunBenchmark:
             dict(objects=[{"arm_count": -2, "arm_length": 1}]),
             dict(tracker={"lamda": 10.0}),
             dict(tracker={"lam": -1.0}),
+            dict(objects=[{**dataclasses.asdict(tiny_spec()), "width": 64.5}]),
+            dict(objects=[{**dataclasses.asdict(tiny_spec()), "part_length": 0}]),
+            dict(objects=[{**dataclasses.asdict(tiny_spec()), "sigma_xy": -1.0}]),
+            dict(seed=-1),
+            dict(seed=2.5),
+            dict(particles=[5.5]),
+            dict(particles=["5"]),
+            dict(runs=2.5),
         ],
     )
     def test_bad_configs(self, bad):
@@ -251,9 +280,28 @@ class TestTrackerConfig:
         assert isinstance(cfg.lam, float)
         assert cfg.partition_mode == "parallel"
 
+    def test_partition_is_the_library_default(self):
+        for resampler, mode in (("systematic", "singleton"), ("combinatorial", "parallel")):
+            library = TrackerConfig(particle_count=7, resampler=resampler)
+            assert library.partition_mode == mode
+            assert tracker_config(tiny_spec(), resampler, 7, 4).partition_mode == mode
+
+    def test_overrides_are_the_free_fields(self):
+        assert TRACKER_OVERRIDES == (
+            "sigma_xy", "sigma_theta", "lam", "weighted_exponent", "partition_mode"
+        )
+
     @pytest.mark.parametrize(
         "overrides",
-        [{"lamda": 1.0}, {"seed": 3}, {"lam": "high"}, {"sigma_xy": None}, ["lam", 1.0]],
+        [
+            {"lamda": 1.0},
+            {"seed": 3},
+            {"lam": "high"},
+            {"sigma_xy": None},
+            ["lam", 1.0],
+            {"partition_mode": None},
+            {"resampler": "multinomial"},
+        ],
     )
     def test_rejects_bad_overrides(self, overrides):
         with pytest.raises(ConfigError):
@@ -281,6 +329,19 @@ def fake_report():
     return BenchmarkReport(rows)
 
 
+HEADER_LINE = (
+    b"object,resampler,particles,run,seed,mean_error_px,resample_seconds,total_seconds,"
+    b"resample_invocations\r\n"
+)
+# A results file as the hand-listed writer wrote it before the columns were
+# derived from BenchmarkRow.
+EARLIER_RESULTS = HEADER_LINE + (
+    b"star-4x3,systematic,25,0,2943124318,48.163562684102345,0.0123456789,1.5,177\r\n"
+    b"star-4x3,combinatorial,100,9,7,0.30000000000000004,1e-07,3.3333333333333335,236\r\n"
+    b'"obj, with comma",weighted,50,1,0,0.0,2.5e-05,12.0,0\r\n'
+)
+
+
 class TestCsvRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         report = fake_report()
@@ -291,7 +352,19 @@ class TestCsvRoundTrip:
     def test_header_line(self, tmp_path):
         path = tmp_path / "results.csv"
         write_results_csv(BenchmarkReport([]), path)
-        assert path.read_text().strip() == ",".join(CSV_HEADER)
+        assert path.read_bytes() == HEADER_LINE
+        assert ",".join(CSV_HEADER).encode() + b"\r\n" == HEADER_LINE
+
+    def test_earlier_files_read_back_and_rewrite_byte_for_byte(self, tmp_path):
+        path = tmp_path / "results.csv"
+        path.write_bytes(EARLIER_RESULTS)
+        report = read_results_csv(path)
+        assert report.rows[1] == BenchmarkRow(
+            "star-4x3", "combinatorial", 100, 9, 7, 0.1 + 0.2, 1e-07, 3.3333333333333335, 236
+        )
+        again = tmp_path / "again.csv"
+        write_results_csv(report, again)
+        assert again.read_bytes() == EARLIER_RESULTS
 
     def test_awkward_floats_survive(self, tmp_path):
         row = BenchmarkRow("o", "systematic", 5, 0, 1, 0.1 + 0.2, 1e-7, 3.3333333333333335, 9)
@@ -395,6 +468,38 @@ class TestCli:
         rc = main(["plot", "--in", str(results), "--out", str(svg)])
         assert rc == 0
         assert svg.read_text().startswith("<svg ")
+
+    @pytest.mark.parametrize(
+        "flags, scale",
+        [
+            ([], dict(frame_count=60, width=160, height=128, part_length=12.0, part_width=6.0)),
+            (
+                ["--paper-scale"],
+                dict(frame_count=300, width=800, height=640, part_length=30.0, part_width=12.0),
+            ),
+        ],
+        ids=["desk", "paper-scale"],
+    )
+    def test_generate_defaults(self, tmp_path, monkeypatch, capsys, flags, scale):
+        def no_frames(spec):
+            return None, [], np.zeros((0, spec.part_count, 3))
+
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", no_frames)
+        assert main(["generate", "--out", str(tmp_path), *flags]) == 0
+        expected = {
+            "arm_count": 4,
+            "arm_length": 3,
+            "frame_count": scale["frame_count"],
+            "width": scale["width"],
+            "height": scale["height"],
+            "sigma_xy": 1.0,
+            "sigma_theta": 0.025,
+            "seed": 0,
+            "part_length": scale["part_length"],
+            "part_width": scale["part_width"],
+            "name": "object",
+        }
+        assert (tmp_path / "object.json").read_text() == json.dumps(expected, indent=2) + "\n"
 
     def test_track_without_frames_exits_two(self, tmp_path, capsys):
         rc = main(
@@ -559,3 +664,88 @@ class TestTrackRejectsBadInput:
         assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
         assert "bench.json: not valid JSON" in capsys.readouterr().err
         assert not (tmp_path / "r.csv").exists()
+
+    def test_bench_output_directory_missing(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)
+        out = tmp_path / "missing" / "r.csv"
+        assert main(["bench", "--out", str(out)]) == 2
+        assert f"{out}: output directory {out.parent} is missing" in capsys.readouterr().err
+
+    def test_bench_output_is_a_directory(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        assert main(["bench", "--out", str(tmp_path)]) == 2
+        assert "output path is a directory" in capsys.readouterr().err
+
+    def test_bench_failed_write_names_the_file(self, tmp_path, capsys, monkeypatch):
+        def full_disk(report, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr("crtrack.cli.write_results_csv", full_disk)
+        cfg = tiny_config(resamplers=["systematic"], particles=[3], runs=1)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+        assert f"error: {out}: cannot write: No space left on device" in capsys.readouterr().err
+
+    def test_track_output_directory_missing(self, seq, capsys):
+        out = seq / "missing" / "estimates.csv"
+        assert self.track(seq, "--out", str(out)) == 2
+        assert f"{out}: output directory" in capsys.readouterr().err
+
+    def test_generate_output_directory_cannot_be_made(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        blocker = tmp_path / "file.txt"
+        blocker.write_text("")
+        assert main(["generate", "--out", str(blocker / "seq")]) == 2
+        assert "file.txt/seq: cannot write" in capsys.readouterr().err
+
+    def test_plot_output_directory_missing(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_results_csv(fake_report(), path)
+        out = tmp_path / "missing" / "p.svg"
+        assert main(["plot", "--in", str(path), "--out", str(out)]) == 2
+        assert f"{out}: output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--part-length", "-3"], ["--part-width", "0"], ["--sigma-xy", "-1"]],
+        ids=["part-length", "part-width", "sigma-xy"],
+    )
+    def test_generate_bad_object_size(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        assert main(["generate", "--out", str(tmp_path / "seq"), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[0][2:].replace("-", "_") in err
+        assert not (tmp_path / "seq").exists()
+
+    @pytest.mark.parametrize(
+        "field, value", [("arm_count", 2.5), ("part_length", -1)], ids=["arm_count", "part_length"]
+    )
+    def test_object_json_bad_field(self, seq, capsys, field, value):
+        obj = seq / "object.json"
+        obj.write_text(json.dumps({**json.loads(obj.read_text()), field: value}))
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert "object.json: bad object description" in err and field in err
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(objects=[{**dataclasses.asdict(tiny_spec()), "width": 64.5}]),
+            dict(objects=[{**dataclasses.asdict(tiny_spec()), "part_length": 0}]),
+            dict(seed=-1),
+            dict(particles=[5.5]),
+        ],
+        ids=["width", "part_length", "seed", "particles"],
+    )
+    def test_bench_bad_config_values(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(tiny_config(**bad)))
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

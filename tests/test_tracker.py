@@ -40,8 +40,11 @@ class TestConfig:
     def test_defaults(self):
         cfg = TrackerConfig(particle_count=10)
         assert cfg.resampler == "systematic"
-        assert cfg.partition_mode == "parallel"
+        # classical schemes run partitioned sampling one part per step
+        assert cfg.partition_mode == "singleton"
         assert cfg.lam == 50.0
+        combinatorial = TrackerConfig(particle_count=10, resampler="combinatorial")
+        assert combinatorial.partition_mode == "parallel"
 
     @pytest.mark.parametrize(
         "kw",
@@ -321,7 +324,7 @@ class TestTrackSequence:
 
     def test_shapes_and_invocation_totals(self):
         model, pose, frames = self.static_sequence(frames=5)
-        cfg = TrackerConfig(particle_count=4, seed=1)
+        cfg = TrackerConfig(particle_count=4, partition_mode="parallel", seed=1)
         result = track_sequence(frames, pose, model, cfg)
         assert result.estimates.shape == (5, model.part_count, 3)
         assert result.errors is None
