@@ -39,7 +39,7 @@ class InsufficientData(ValueError):
 
 
 def _integer(value, name: str) -> int:
-    if not isinstance(value, numbers.Integral):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, not {value!r}")
     return int(value)
 
@@ -72,8 +72,9 @@ class SequenceSpec:
             value = getattr(self, f.name)
             if types[f.name] is int:
                 _integer(value, f.name)
-            elif types[f.name] is float and not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
+            elif types[f.name] is float and (
+                isinstance(value, bool)
+                or not (isinstance(value, numbers.Real) and math.isfinite(value))
             ):
                 raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
         if self.arm_count < 0:
@@ -158,7 +159,8 @@ def load_json(path):
 
 def load_truth(path) -> np.ndarray:
     """(T, P, 3) ground truth from a truth.csv; an unreadable file or a
-    malformed row is a ConfigError naming the file (and the row)."""
+    malformed or non-finite row is a ConfigError naming the file (and the
+    row)."""
     rows = []
     with file_errors(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -170,6 +172,8 @@ def load_truth(path) -> np.ndarray:
                 values = [float(v) for v in record[1:]]
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
+            if not all(math.isfinite(v) for v in values):
+                raise ConfigError(f"{where}: values must be finite")
             if len(values) % 3:
                 raise ConfigError(f"{where}: {len(values)} values, not x, y, theta per part")
             if rows and len(values) != rows[0].size:

@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .dbn import DbnSpec, compute_partition, descendants_within_slice
 
@@ -208,25 +207,31 @@ def _stage_columns(dbn: DbnSpec, stage: int) -> tuple[tuple[int, ...], np.ndarra
 class CompatibilityGroups:
     """Grouping of a particle set at one processing stage.
 
-    ``members[h]`` lists, ascending, the particles whose processed-part
-    fragment is bit-for-bit identical (groups in first-occurrence order) and
-    ``reps[h] = members[h][0]``.  For current-stage part k, ``pools[k]`` is
-    (label of each particle's donor pool, size of each pool, part-k weight sum
-    of each pool); group h draws donors from pool ``labels[reps[h]]``.
+    ``labels[i]`` is the group of particle i: particles whose processed-part
+    fragment is bit-for-bit identical share a group, numbered in
+    first-occurrence order, and ``reps[h]`` is the lowest particle of group h.
+    For current-stage part k, ``pools[k]`` is (label of each particle's donor
+    pool, size of each pool, part-k weight sum of each pool); group h draws
+    donors from pool ``pools[k][0][reps[h]]``.
     """
 
     parts: tuple[int, ...]
+    labels: np.ndarray
     reps: np.ndarray
-    members: tuple[np.ndarray, ...]
     pools: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def group_count(self) -> int:
-        return len(self.members)
+        return len(self.reps)
 
     @property
     def sizes(self) -> np.ndarray:
-        return np.array([len(m) for m in self.members])
+        return np.bincount(self.labels)
+
+    @property
+    def members(self) -> tuple[np.ndarray, ...]:
+        """The particles of each group, ascending."""
+        return tuple(np.split(np.argsort(self.labels, kind="stable"), np.cumsum(self.sizes)[:-1]))
 
     @property
     def part_pool_max(self) -> dict[int, int]:
@@ -243,7 +248,6 @@ def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> Compatib
     # rows that are all alike (nothing processed, no parent) form one class
     alike = np.zeros(pset.n)
     labels, reps = _row_labels(pset.states[:, prev_cols] if prev_cols.size else alike)
-    members = np.split(np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1])
 
     # donor-pool labels, built once per parent that the stage's parts share
     parent_labels = {
@@ -261,7 +265,7 @@ def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> Compatib
         # rounding the pool's own normalization would give
         pooled = np.split(w[np.argsort(plabels, kind="stable")], np.cumsum(sizes)[:-1])
         pools[k] = (plabels, sizes, np.array([pool.sum() for pool in pooled]))
-    return CompatibilityGroups(parts=parts, reps=reps, members=tuple(members), pools=pools)
+    return CompatibilityGroups(parts=parts, labels=labels, reps=reps, pools=pools)
 
 
 def group_log_weights(groups: CompatibilityGroups) -> np.ndarray:
@@ -278,25 +282,19 @@ def group_log_weights(groups: CompatibilityGroups) -> np.ndarray:
 
     where N_h = |group h|, N^k_h = |donor pool of part k for group h|,
     N^k = max_h N^k_h, W^k_h the pool's part-weight sum and
-    A(n, r) = n!/(n-r)!.  Factorials go through log-gamma; groups whose pool
+    A(n, r) = n!/(n-r)!.  Since A(n - 1, r - 1) / A(n, r) = 1/n and (N^k)! is
+    common to every group, the mass is N_h * prod_k W^k_h / N^k_h: the group
+    size times the mean donor-pool weight of each part.  Groups whose pool
     weight sum vanishes get -inf and are never drawn.
     """
-    sizes = groups.sizes.astype(float)
-    logw = np.log(sizes)
+    logw = np.log(groups.sizes)
     for k in groups.parts:
         labels, pool_sizes, sums = groups.pools[k]
         pool = labels[groups.reps]
-        pool_max = float(pool_sizes.max())
-        pool_sizes, sums = pool_sizes[pool].astype(float), sums[pool]
         if not np.all(np.isfinite(sums)) or np.any(sums < 0):
             raise DegenerateWeights(f"part {k} has invalid pool weight sums")
         with np.errstate(divide="ignore"):
-            logw += (
-                gammaln(pool_max + 1.0)
-                - (gammaln(pool_sizes + 1.0) - gammaln(pool_sizes - sizes + 1.0))
-                + (gammaln(pool_sizes) - gammaln(pool_sizes - sizes + 1.0))
-                + np.log(sums)
-            )
+            logw += np.log(sums[pool]) - np.log(pool_sizes[pool])
     if not np.any(np.isfinite(logw)):
         raise DegenerateWeights("every group has zero or invalid mass")
     return logw

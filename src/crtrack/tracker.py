@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 from typing import get_type_hints
@@ -69,15 +70,22 @@ class TrackerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.particle_count < 1:
-            raise ValueError("particle_count must be >= 1")
+        # booleans are numbers to Python, but never a setting here
         types = get_type_hints(TrackerConfig)
         for f in fields(self):
+            value = getattr(self, f.name)
+            if types[f.name] is int and (
+                isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            ):
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
             if types[f.name] is float:
-                value = float(getattr(self, f.name))
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{f.name} must be a number, not {value!r}")
                 if not math.isfinite(value):
                     raise ValueError(f"{f.name} must be finite")
-                object.__setattr__(self, f.name, value)
+                object.__setattr__(self, f.name, float(value))
+        if self.particle_count < 1:
+            raise ValueError("particle_count must be >= 1")
         if self.sigma_xy < 0 or self.sigma_theta < 0:
             raise ValueError("proposal sigmas must be >= 0")
         if self.resampler not in RESAMPLER_NAMES:

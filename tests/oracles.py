@@ -207,6 +207,29 @@ def reference_rearrangements(pset: ParticleSet, spec: DbnSpec, stage: int):
         yield states, part_weights
 
 
+def gammaln_log_masses(groups) -> np.ndarray:
+    """Log group masses of a library grouping from the paper's closed form,
+    term by term through log-gamma, without cancelling anything:
+
+        N_h * prod_k [ (N^k)! / A(N^k_h, N_h) ] * A(N^k_h - 1, N_h - 1) * W^k_h
+    """
+    sizes = groups.sizes.astype(float)
+    logw = np.log(sizes)
+    for k in groups.parts:
+        labels, pool_sizes, sums = groups.pools[k]
+        pool = labels[groups.reps]
+        pool_max = float(pool_sizes.max())
+        pool_sizes, sums = pool_sizes[pool].astype(float), sums[pool]
+        with np.errstate(divide="ignore"):
+            logw += (
+                gammaln(pool_max + 1.0)
+                - (gammaln(pool_sizes + 1.0) - gammaln(pool_sizes - sizes + 1.0))
+                + (gammaln(pool_sizes) - gammaln(pool_sizes - sizes + 1.0))
+                + np.log(sums)
+            )
+    return logw
+
+
 def reference_combinatorial_resample(
     pset: ParticleSet, spec: DbnSpec, stage: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -246,16 +269,10 @@ def reference_combinatorial_resample(
             pool_of_group = np.array([plabels[m[0]] for m in members])
         group_pools[k] = [pools[c] for c in pool_of_group]
         pool_sizes = np.array([len(pool) for pool in group_pools[k]]).astype(float)
-        pool_max = float(max(len(pool) for pool in pools))
         pool_sums = np.array([float(pset.part_weights[pool, k - 1].sum()) for pool in pools])
         sums = pool_sums[pool_of_group]
         with np.errstate(divide="ignore"):
-            logw += (
-                gammaln(pool_max + 1.0)
-                - (gammaln(pool_sizes + 1.0) - gammaln(pool_sizes - sizes + 1.0))
-                + (gammaln(pool_sizes) - gammaln(pool_sizes - sizes + 1.0))
-                + np.log(sums)
-            )
+            logw += np.log(sums) - np.log(pool_sizes)
     mass = np.exp(logw - logw[np.isfinite(logw)].max())
     mass[~np.isfinite(logw)] = 0.0
     chosen = multinomial_draw(mass, rng, size=n)

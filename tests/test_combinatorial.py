@@ -19,6 +19,7 @@ from crtrack.resampling import (
 from conftest import make_particle_set
 from oracles import (
     blocks_of,
+    gammaln_log_masses,
     random_small_instance,
     reference_combinatorial_resample,
     reference_rearrangements,
@@ -360,6 +361,32 @@ CROWDED_SPECS = {
 }
 
 
+def assert_matches_gammaln_form(pset, spec, stage):
+    """The cancelled masses, normalized, equal the uncancelled closed form."""
+    logw = gammaln_log_masses(group_compatibility(pset, spec, stage))
+    mass = np.exp(logw - logw.max())
+    np.testing.assert_allclose(
+        normalized_masses(pset, spec, stage), mass / mass.sum(), rtol=1e-10, atol=0
+    )
+
+
+class TestCancelledMass:
+    """``group_log_weights`` cancels the factorials of the paper's formula;
+    the masses it gives must be the ones the formula gives term by term."""
+
+    def test_random_small_instances(self):
+        for case in range(200):
+            assert_matches_gammaln_form(*random_small_instance(np.random.default_rng(case)))
+
+    @pytest.mark.parametrize("name", sorted(CROWDED_SPECS))
+    @pytest.mark.parametrize("n", [40, 100, 400])
+    def test_crowded_sets_at_every_stage(self, name, n):
+        spec = CROWDED_SPECS[name]
+        pset = crowded_set(spec, n, seed=n)
+        for stage in range(1, compute_partition(spec).num_steps + 1):
+            assert_matches_gammaln_form(pset, spec, stage)
+
+
 class TestAgainstSlowPath:
     @pytest.mark.parametrize("case", range(30))
     def test_random_small_instances(self, case):
@@ -400,6 +427,7 @@ class TestAgainstSlowPath:
         spec = DbnSpec.chain(2)
         pset = make_particle_set(spec, ((0,) * 10 + (1,) * 4, tuple(range(14))))
         pset.part_weights[:, 1] = [0.1] * 10 + [0.25] * 4
+        assert normalized_masses(pset, spec, 2).tolist() == [0.5, 0.5]
         fast = combinatorial_resample(pset, spec, 2, BoundaryStream()).states
         slow = reference_combinatorial_resample(pset, spec, 2, BoundaryStream())
         np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))

@@ -88,6 +88,13 @@ class TestSequenceSpec:
             dict(frame_count="3"),
             dict(part_length="30"),
             dict(seed=-1),
+            dict(arm_count=True),
+            dict(arm_length=True),
+            dict(frame_count=True),
+            dict(width=True),
+            dict(seed=False),
+            dict(part_length=True),
+            dict(sigma_xy=False),
         ],
     )
     def test_validation(self, kw):
@@ -244,6 +251,12 @@ class TestRunBenchmark:
             dict(particles=[5.5]),
             dict(particles=["5"]),
             dict(runs=2.5),
+            dict(particles=[True]),
+            dict(runs=True),
+            dict(seed=True),
+            dict(objects=[{**dataclasses.asdict(tiny_spec()), "arm_count": True}]),
+            dict(tracker={"lam": "50"}),
+            dict(tracker={"sigma_xy": True}),
         ],
     )
     def test_bad_configs(self, bad):
@@ -301,11 +314,21 @@ class TestTrackerConfig:
             ["lam", 1.0],
             {"partition_mode": None},
             {"resampler": "multinomial"},
+            {"lam": "50"},
+            {"sigma_xy": True},
+            {"weighted_exponent": False},
         ],
     )
     def test_rejects_bad_overrides(self, overrides):
         with pytest.raises(ConfigError):
             tracker_config(tiny_spec(), "systematic", 5, 0, overrides)
+
+    @pytest.mark.parametrize(
+        "particles, seed", [(5.5, 0), (True, 0), ("5", 0), (5, 1.5), (5, True)]
+    )
+    def test_counts_and_seeds_are_integers(self, particles, seed):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            tracker_config(tiny_spec(), "systematic", particles, seed)
 
 
 def fake_report():
@@ -606,6 +629,16 @@ class TestTrackRejectsBadInput:
         assert self.track(seq) == 2
         err = capsys.readouterr().err
         assert "truth.csv, row 4" in err and "abc" in err
+
+    @pytest.mark.parametrize("row, value", [(1, "nan"), (2, "inf"), (3, "-inf")])
+    def test_truth_value_not_finite(self, seq, capsys, row, value):
+        truth = seq / "truth.csv"
+        lines = truth.read_text().splitlines(keepends=True)
+        lines[row - 1] = f"{row},{value}," + lines[row - 1].split(",", 2)[2]
+        truth.write_text("".join(lines))
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert f"truth.csv, row {row}: values must be finite" in err
 
     def test_config_not_json(self, seq, capsys):
         path = seq / "tracker.json"

@@ -65,6 +65,13 @@ class TestConfig:
             dict(particle_count=5, weighted_exponent=math.inf),
             dict(particle_count=5, weighted_exponent=-math.inf),
             dict(particle_count=5, weighted_exponent=math.nan),
+            dict(particle_count=5.5),
+            dict(particle_count=True),
+            dict(particle_count="5"),
+            dict(particle_count=5, seed=1.5),
+            dict(particle_count=5, seed=True),
+            dict(particle_count=5, lam="50"),
+            dict(particle_count=5, sigma_xy=True),
         ],
     )
     def test_rejects_bad_fields(self, kw):
