@@ -15,7 +15,6 @@ from .harness import (
     run_benchmark,
     write_results_csv,
 )
-from .likelihood import Histogram8
 from .resampling import (
     CompatibilityGroups,
     ParticleSet,
@@ -33,7 +32,6 @@ __all__ = [
     "BenchmarkReport",
     "CompatibilityGroups",
     "DbnSpec",
-    "Histogram8",
     "MotionParams",
     "Partition",
     "ParticleSet",

@@ -71,7 +71,7 @@ def _cmd_track(args) -> int:
     model = build_model(spec)
     overrides = load_json(args.config) if args.config else {}
     cfg = tracker_config(spec, args.resampler, args.particles, args.seed, overrides)
-    frames = load_frames(args.frames)
+    frames = load_frames(args.frames, (spec.width, spec.height))
     truth = load_truth(args.truth)
     expected = (len(frames), spec.part_count, 3)
     if truth.shape != expected:

@@ -186,9 +186,10 @@ def load_truth(path) -> np.ndarray:
     return np.stack(rows)
 
 
-def load_frames(frames_dir) -> list[np.ndarray]:
+def load_frames(frames_dir, size: tuple[int, int] | None = None) -> list[np.ndarray]:
     """Every .pgm frame under ``frames_dir`` in name order; an unreadable or
-    malformed frame is a ConfigError naming the file."""
+    malformed frame, or one whose (width, height) is not ``size`` when given,
+    is a ConfigError naming the file."""
     paths = sorted(Path(frames_dir).glob("*.pgm"))
     if not paths:
         raise ConfigError(f"no .pgm frames under {frames_dir}")
@@ -199,6 +200,9 @@ def load_frames(frames_dir) -> list[np.ndarray]:
                 frames.append(read_pgm(path))
             except ValueError as exc:  # read_pgm names the file
                 raise ConfigError(str(exc)) from exc
+        if size is not None and frames[-1].shape[::-1] != size:
+            shown = "x".join(map(str, frames[-1].shape[::-1]))
+            raise ConfigError(f"{path}: frame is {shown}, the sequence is {size[0]}x{size[1]}")
     return frames
 
 

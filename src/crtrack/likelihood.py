@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -26,18 +25,6 @@ BIN_COUNT = 8
 # Most cells (particles x window rows x window columns) rasterized in one
 # pass; larger batches are split over particles to bound memory.
 WINDOW_CELLS = 1 << 18
-
-
-@dataclass(frozen=True)
-class Histogram8:
-    """Normalized 8-bin intensity histogram over [0, 255].
-
-    ``empty`` marks a region containing no pixel; the bins are then uniform so
-    every downstream distance stays defined.
-    """
-
-    bins: np.ndarray
-    empty: bool = False
 
 
 def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
@@ -85,14 +72,9 @@ def region_histograms(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     return _normalized(region_counts(image, corners))
 
 
-def region_histogram(image: np.ndarray, corners: np.ndarray) -> Histogram8:
-    """Histogram of one quadrilateral, corners (4, 2); row 0 of
-    ``region_histograms`` bit for bit, marked ``empty`` when no pixel is in."""
-    height, width = image.shape
-    x0, y0, nx, ny = (int(v[0]) for v in polygon_bboxes(corners[None], width, height))
-    values = image[y0 : y0 + ny, x0 : x0 + nx][polygon_mask(corners, x0, y0, nx, ny)]
-    counts = np.bincount(values >> 5, minlength=BIN_COUNT)
-    return Histogram8(_normalized(counts[None])[0], empty=values.size == 0)
+def region_histogram(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """Histogram (8,) of one quadrilateral, corners (4, 2)."""
+    return region_histograms(image, corners[None])[0]
 
 
 def bhattacharyya(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -105,28 +87,37 @@ def bhattacharyya(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def part_weight_factor(distance: np.ndarray, lam: float) -> np.ndarray:
-    """Likelihood factors exp(-lam d^2) of an array of distances.
+    """Likelihood factors exp(-lam d^2) of an array of distances, any shape.
 
     The exponential is taken with ``math.exp`` per entry because ``np.exp``
     rounds some arguments differently from the scalar reference.
     """
-    return np.array([math.exp(v) for v in (-lam * distance * distance).tolist()])
+    exponents = -lam * distance * distance
+    return np.array([math.exp(v) for v in exponents.ravel().tolist()]).reshape(exponents.shape)
 
 
-def part_factors(image: np.ndarray, corners: np.ndarray, ref: Histogram8, lam: float) -> np.ndarray:
-    """Likelihood factors of N placements of one part, corners (N, 4, 2),
-    against its reference histogram."""
-    return part_weight_factor(bhattacharyya(region_histograms(image, corners), ref.bins), lam)
+def part_factors(image: np.ndarray, corners: np.ndarray, refs: np.ndarray, lam: float) -> np.ndarray:
+    """Likelihood factors of placements with corners (..., 4, 2) against
+    reference histograms (..., 8) that broadcast with them, all regions
+    counted in one ``region_counts`` pass."""
+    hists = region_histograms(image, corners.reshape(-1, *corners.shape[-2:]))
+    distances = bhattacharyya(hists.reshape(*corners.shape[:-2], BIN_COUNT), refs)
+    return part_weight_factor(distances, lam)
 
 
-def init_references(
-    image: np.ndarray, model: ArticulatedModel, initial: ObjectState
-) -> list[Histogram8]:
-    """Reference histogram per part, taken from the first frame at the known
-    initial pose and kept fixed afterwards.  Parts landing outside the canvas
-    get a uniform reference and a warning."""
-    refs = [region_histogram(image, corners) for corners in object_corners(model, initial)]
-    for k, ref in enumerate(refs, start=1):
-        if ref.empty:
-            log.warning("part %d covers no pixel at the initial pose; using a uniform reference", k)
-    return refs
+def init_references(image: np.ndarray, model: ArticulatedModel, initial: ObjectState) -> np.ndarray:
+    """Reference histograms (P, 8), row k - 1 for part k, taken from the
+    first frame at the known initial pose and kept fixed afterwards.  Parts
+    landing outside the canvas get a uniform reference and a warning.  The
+    counts equal ``region_counts`` over ``object_corners``; each part goes
+    through ``polygon_mask`` because the benchmark tracer counts cells there.
+    """
+    height, width = image.shape
+    corners = object_corners(model, initial)
+    counts = np.zeros((len(corners), BIN_COUNT), dtype=np.int64)
+    for i, (x0, y0, nx, ny) in enumerate(zip(*polygon_bboxes(corners, width, height))):
+        values = image[y0 : y0 + ny, x0 : x0 + nx][polygon_mask(corners[i], x0, y0, nx, ny)]
+        counts[i] = np.bincount(values >> 5, minlength=BIN_COUNT)
+    for k in np.flatnonzero(counts.sum(axis=1) == 0) + 1:
+        log.warning("part %d covers no pixel at the initial pose; using a uniform reference", k)
+    return _normalized(counts)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dbn import DbnSpec, Partition, compute_partition
 from .geometry import ArticulatedModel, ObjectState, estimation_error, place_polygons, wrap_angle
-from .likelihood import Histogram8, init_references, part_factors
+from .likelihood import init_references, part_factors
 
 # One-part forms of the scoring kernel, importable here because the
 # benchmark tracer wraps the tracker's helpers by these names.
@@ -101,6 +101,9 @@ class TrackerConfig:
             raise ValueError("seed must be >= 0")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
+        # weights lie in [0, 1], so exp(e w) and the correction w / rho stay finite and > 0
+        if abs(self.weighted_exponent) > 700:
+            raise ValueError("weighted_exponent must lie in [-700, 700]")
 
 
 def partition_for(spec: DbnSpec, mode: str) -> Partition:
@@ -134,38 +137,33 @@ def propagate_part(
 
 def correct_part(
     states: np.ndarray,
-    k: int,
+    parts: tuple[int, ...],
     frame: np.ndarray,
-    refs: list[Histogram8],
+    refs: np.ndarray,
     model: ArticulatedModel,
     cfg: TrackerConfig,
 ) -> np.ndarray:
-    """Likelihood factor exp(-lam d^2) of part k for every particle, all
-    particles scored in one batched pass (``part_factors``)."""
-    corners = place_polygons(model, k, states[:, k - 1])
-    return part_factors(frame, corners, refs[k - 1], cfg.lam)
+    """Likelihood factors exp(-lam d^2) (N, len(parts)) of ``parts`` for
+    every particle, in one ``part_factors`` pass over part-major placements
+    (so a raster batch mostly holds one part's window)."""
+    corners = np.stack([place_polygons(model, k, states[:, k - 1]) for k in parts])
+    return part_factors(frame, corners, refs[[k - 1 for k in parts], None], cfg.lam).T
 
 
 def _make_resampler(cfg: TrackerConfig, spec: DbnSpec):
-    name = cfg.resampler
-    if name == "multinomial":
-        return lambda ps, stage, rng: multinomial_resample(ps, rng)
-    if name == "stratified":
-        return lambda ps, stage, rng: stratified_resample(ps, rng)
-    if name == "systematic":
-        return lambda ps, stage, rng: systematic_resample(ps, rng)
-    if name == "residual":
-        return lambda ps, stage, rng: residual_resample(ps, rng)
-    if name == "weighted":
+    # built per ps_step call, so a resampler swapped in by name is the one used
+    if cfg.resampler == "weighted":
         exponent = cfg.weighted_exponent
-
-        def score(w: np.ndarray) -> np.ndarray:
-            return np.exp(exponent * w)
-
-        return lambda ps, stage, rng: weighted_resample(ps, score, rng)
-    if name == "combinatorial":
+        return lambda ps, stage, rng: weighted_resample(ps, lambda w: np.exp(exponent * w), rng)
+    if cfg.resampler == "combinatorial":
         return lambda ps, stage, rng: combinatorial_resample(ps, spec, stage, rng)
-    raise ValueError(f"unknown resampler {name!r}")
+    classical = {
+        "multinomial": multinomial_resample,
+        "stratified": stratified_resample,
+        "systematic": systematic_resample,
+        "residual": residual_resample,
+    }[cfg.resampler]
+    return lambda ps, stage, rng: classical(ps, rng)
 
 
 @dataclass
@@ -179,37 +177,40 @@ def ps_step(
     frame: np.ndarray,
     partition: Partition,
     model: ArticulatedModel,
-    refs: list[Histogram8],
+    refs: np.ndarray,
     cfg: TrackerConfig,
     frame_index: int,
 ) -> tuple[ParticleSet, StepStats]:
     """Advance the particle set by one frame.
 
-    Per partition stage: propagate each part of the stage and multiply its
-    factors into the weights, taking parts in ascending id so the result
-    cannot depend on the order the partition lists them in; normalize once;
-    resample once.  One normalization per stage loses nothing: every factor
-    is at most 1, so a product that underflows part-way stays zero.  When
-    the final product is zero or not finite, the weights and the stage's
-    part factors fall back to uniform with one warning for the stage instead
-    of aborting the run.
+    Per partition stage: propagate each part of the stage, score them all
+    in one ``correct_part`` call and multiply their factors into the
+    weights, taking parts in ascending id so the result cannot depend on
+    the order the partition lists them in; normalize once; resample once.
+    One normalization per stage loses nothing: every factor is at most 1,
+    so a product that underflows part-way stays zero.  When the final
+    product is zero or not finite, the weights and the stage's part factors
+    fall back to uniform with one warning for the stage instead of aborting
+    the run.
     """
     resampler = _make_resampler(cfg, model.spec)
     spent = 0.0
     for stage, parts in enumerate(partition.steps, start=1):
         parts = tuple(sorted(parts))
-        w = pset.weights
+        columns = [k - 1 for k in parts]
         for k in parts:
             propagate_part(pset.states, k, cfg, propagate_rng(cfg.seed, frame_index, k))
-            pset.part_weights[:, k - 1] = correct_part(pset.states, k, frame, refs, model, cfg)
-            w = w * pset.part_weights[:, k - 1]
+        pset.part_weights[:, columns] = correct_part(pset.states, parts, frame, refs, model, cfg)
+        w = pset.weights
+        for column in columns:
+            w = w * pset.part_weights[:, column]
         total = w.sum()
         if not np.isfinite(total) or total <= 0.0:
             log.warning("all particle weights degenerated at stage %d; resetting to uniform", stage)
             pset.weights = np.full(pset.n, 1.0 / pset.n)
             # the combinatorial resampler draws from the part factors, so
             # they restart at 1 too: every resampler sees the same uniform stage
-            pset.part_weights[:, [k - 1 for k in parts]] = 1.0
+            pset.part_weights[:, columns] = 1.0
         else:
             pset.weights = w / total
         pset.fresh = parts

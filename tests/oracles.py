@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,20 @@ from scipy.special import gammaln
 
 from crtrack.dbn import DbnSpec, compute_partition
 from crtrack.geometry import part_intensity
-from crtrack.likelihood import BIN_COUNT, Histogram8
+from crtrack.likelihood import BIN_COUNT
 from crtrack.resampling import ParticleSet, multinomial_draw
+
+
+@dataclass(frozen=True)
+class Histogram8:
+    """Normalized 8-bin intensity histogram over [0, 255].
+
+    ``empty`` marks a region containing no pixel; the bins are then uniform so
+    every downstream distance stays defined.
+    """
+
+    bins: np.ndarray
+    empty: bool = False
 
 
 def point_in_polygon(px: float, py: float, corners) -> bool:

@@ -27,6 +27,7 @@ from crtrack.harness import (
     tracker_config,
     write_results_csv,
 )
+from crtrack.pgm import write_pgm
 from crtrack.tracker import TrackerConfig
 
 
@@ -257,6 +258,7 @@ class TestRunBenchmark:
             dict(objects=[{**dataclasses.asdict(tiny_spec()), "arm_count": True}]),
             dict(tracker={"lam": "50"}),
             dict(tracker={"sigma_xy": True}),
+            dict(tracker={"weighted_exponent": 1e5}),
         ],
     )
     def test_bad_configs(self, bad):
@@ -593,6 +595,12 @@ class TestTrackRejectsBadInput:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("exponent", [800.0, -1e5, 1e5])
+    def test_weighted_exponent_out_of_range(self, seq, capsys, exponent):
+        rc = self.track(seq, "--resampler", "weighted", config={"weighted_exponent": exponent})
+        assert rc == 2
+        assert "weighted_exponent must lie in [-700, 700]" in capsys.readouterr().err
+
     def test_truth_rows_short_of_the_frames(self, seq, capsys):
         truth = seq / "truth.csv"
         truth.write_text("".join(truth.read_text().splitlines(keepends=True)[:3]))
@@ -663,6 +671,12 @@ class TestTrackRejectsBadInput:
         assert self.track(seq) == 2
         err = capsys.readouterr().err
         assert "frame_0003.pgm: truncated pixel data" in err
+
+    def test_frame_of_the_wrong_size(self, seq, capsys):
+        write_pgm(seq / "frame_0003.pgm", np.zeros((10, 10), dtype=np.uint8))
+        assert self.track(seq) == 2
+        err = capsys.readouterr().err
+        assert "frame_0003.pgm: frame is 10x10, the sequence is 64x48" in err
 
     def test_frame_header_garbled(self, seq, capsys):
         frame = seq / "frame_0002.pgm"

@@ -10,6 +10,7 @@ from crtrack.dbn import DbnSpec
 from crtrack.geometry import (
     ArticulatedModel,
     default_pose,
+    object_corners,
     part_intensity,
     place_polygons,
     render_frame,
@@ -17,18 +18,19 @@ from crtrack.geometry import (
 from crtrack import likelihood
 from crtrack.likelihood import (
     BIN_COUNT,
-    Histogram8,
     init_references,
     part_factors,
     region_counts,
     region_histograms,
 )
 
-from oracles import brute_force_mask, part_factor, place_polygon, region_histogram
+from oracles import Histogram8, brute_force_mask, part_factor, place_polygon, region_histogram
+
+UNIFORM = np.full(BIN_COUNT, 1.0 / BIN_COUNT)
 
 
 def hist(*bins):
-    return Histogram8(np.asarray(bins, dtype=float))
+    return np.asarray(bins, dtype=float)
 
 
 def rect_corners(cx, cy, hx, hy, theta=0.0):
@@ -146,13 +148,12 @@ class TestBhattacharyya:
         assert got == pytest.approx(math.exp(-(0.5411961001461971**2)), rel=1e-15)
 
     def test_rounding_never_goes_negative(self):
-        ref = Histogram8(np.full(BIN_COUNT, 1.0 / BIN_COUNT))
-        assert factor([1] * BIN_COUNT, ref, 1.0) == 1.0
+        assert factor([1] * BIN_COUNT, UNIFORM, 1.0) == 1.0
 
     @settings(max_examples=60, deadline=None)
     @given(bin_counts, bin_counts)
     def test_symmetric_and_in_range(self, a, b):
-        ref_a, ref_b = (Histogram8(np.array(c) / sum(c)) for c in (a, b))
+        ref_a, ref_b = (np.array(c) / sum(c) for c in (a, b))
         f = factor(a, ref_b, 1.0)
         assert math.exp(-1.0) <= f <= 1.0
         assert f == factor(b, ref_a, 1.0)
@@ -224,16 +225,14 @@ def scored_batches(draw):
     )
     model = ArticulatedModel.uniform(DbnSpec.chain(1), length, part_width)
     ref_counts = np.array(draw(st.lists(st.integers(0, 9), min_size=BIN_COUNT, max_size=BIN_COUNT)))
-    ref = (
-        Histogram8(ref_counts / ref_counts.sum())
-        if ref_counts.sum()
-        else Histogram8(np.full(BIN_COUNT, 1.0 / BIN_COUNT), empty=True)
-    )
+    ref = ref_counts / ref_counts.sum() if ref_counts.sum() else UNIFORM
     return image, model, np.array(poses), ref
 
 
 def scalar_factors(image, model, states, ref, lam):
-    return np.array([part_factor(image, place_polygon(model, 1, row), ref, lam) for row in states])
+    return np.array(
+        [part_factor(image, place_polygon(model, 1, row), Histogram8(ref), lam) for row in states]
+    )
 
 
 class TestBatchedKernel:
@@ -264,7 +263,7 @@ class TestBatchedKernel:
         image = np.random.default_rng(4).integers(0, 256, size=(30, 40), dtype=np.uint8)
         model = ArticulatedModel.uniform(DbnSpec.chain(1), 9.0, 3.0)
         states = np.array([(17.25, 11.5, 0.3)])
-        ref = region_histogram(image, place_polygon(model, 1, (15.0, 12.0, 0.0)))
+        ref = region_histogram(image, place_polygon(model, 1, (15.0, 12.0, 0.0))).bins
         got = part_factors(image, place_polygons(model, 1, states), ref, 50.0)
         want = scalar_factors(image, model, states, ref, 50.0)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -299,8 +298,9 @@ class TestOnePartForms:
         assert empty.any() and not empty.all()
         for i in range(len(corners)):
             one = likelihood.region_histogram(image, corners[i])
-            np.testing.assert_array_equal(one.bins, hists[i])
-            assert one.empty == empty[i]
+            np.testing.assert_array_equal(one.view(np.int64), hists[i].view(np.int64))
+            if empty[i]:
+                np.testing.assert_array_equal(one, UNIFORM)
 
     def test_part_factors_is_distance_then_factor(self):
         image = np.random.default_rng(9).integers(0, 256, size=(30, 40), dtype=np.uint8)
@@ -308,7 +308,7 @@ class TestOnePartForms:
         states = np.column_stack((np.linspace(0, 40, 25), np.linspace(0, 30, 25), np.linspace(-3, 3, 25)))
         corners = place_polygons(model, 1, states)
         ref = likelihood.region_histogram(image, corners[12])
-        distance = likelihood.bhattacharyya(region_histograms(image, corners), ref.bins)
+        distance = likelihood.bhattacharyya(region_histograms(image, corners), ref)
         assert distance[12] < 1e-7 and ((0.0 <= distance) & (distance <= 1.0)).all()
         np.testing.assert_array_equal(
             part_factors(image, corners, ref, 50.0), likelihood.part_weight_factor(distance, 50.0)
@@ -325,7 +325,7 @@ class TestInitReferences:
         assert len(refs) == 1
         expected = np.zeros(BIN_COUNT)
         expected[part_intensity(1, 1) >> 5] = 1.0
-        np.testing.assert_array_equal(refs[0].bins, expected)
+        np.testing.assert_array_equal(refs[0], expected)
 
     def test_multi_part_references_are_concentrated(self):
         spec = DbnSpec.star(2, 2)
@@ -333,17 +333,17 @@ class TestInitReferences:
         pose = default_pose(model, (40.0, 30.0))
         image = render_frame(model, pose, 80, 60)
         refs = init_references(image, model, pose)
-        assert len(refs) == model.part_count
+        assert refs.shape == (model.part_count, BIN_COUNT)
         for k, ref in enumerate(refs, start=1):
             own_bin = part_intensity(k, model.part_count) >> 5
-            assert not ref.empty
-            assert ref.bins[own_bin] >= 0.5
+            assert ref[own_bin] >= 0.5
 
     @pytest.mark.parametrize("case", range(8))
-    def test_matches_the_oracle_histograms(self, case):
-        """Every reference equals the oracle's histogram and empty flag bit
-        for bit, for rendered and random frames, with parts straddling the
-        border and parts off the canvas."""
+    def test_matches_the_oracle_histograms(self, case, caplog):
+        """Every reference equals the oracle's histogram bit for bit, and
+        the parts warned about are the oracle's empty ones, for rendered and
+        random frames, with parts straddling the border and parts off the
+        canvas."""
         rng = np.random.default_rng(case)
         spec = DbnSpec.star(3, 2)
         model = ArticulatedModel(
@@ -356,11 +356,15 @@ class TestInitReferences:
             image = rng.integers(0, 256, size=(height, width), dtype=np.uint8)
         else:
             image = render_frame(model, pose, width, height)
-        refs = init_references(image, model, pose)
+        with caplog.at_level(logging.WARNING, logger="crtrack.likelihood"):
+            refs = init_references(image, model, pose)
+        warned = {int(rec.message.split()[1]) for rec in caplog.records}
         for k, ref in enumerate(refs, start=1):
             want = region_histogram(image, place_polygon(model, k, pose[k - 1]))
-            assert ref.empty == want.empty
-            np.testing.assert_array_equal(ref.bins.view(np.int64), want.bins.view(np.int64))
+            assert (k in warned) == want.empty
+            np.testing.assert_array_equal(ref.view(np.int64), want.bins.view(np.int64))
+        batched = region_histograms(image, object_corners(model, pose))
+        np.testing.assert_array_equal(refs.view(np.int64), batched.view(np.int64))
 
     def test_off_canvas_part_warns_and_falls_back(self, caplog):
         spec = DbnSpec.chain(1)
@@ -369,5 +373,5 @@ class TestInitReferences:
         image = np.zeros((30, 40), dtype=np.uint8)
         with caplog.at_level(logging.WARNING, logger="crtrack.likelihood"):
             refs = init_references(image, model, pose)
-        assert refs[0].empty
+        np.testing.assert_array_equal(refs[0], UNIFORM)
         assert any("uniform reference" in rec.message for rec in caplog.records)

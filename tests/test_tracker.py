@@ -6,8 +6,14 @@ import pytest
 
 from crtrack import tracker
 from crtrack.dbn import DbnSpec, Partition, compute_partition
-from crtrack.geometry import ArticulatedModel, default_pose, render_frame
-from crtrack.likelihood import init_references
+from crtrack.geometry import (
+    ArticulatedModel,
+    default_pose,
+    place_polygons,
+    polygon_bboxes,
+    render_frame,
+)
+from crtrack.likelihood import WINDOW_CELLS, init_references, part_factors
 from crtrack.resampling import ParticleSet, initial_particle_set
 from crtrack.tracker import (
     RESAMPLER_NAMES,
@@ -65,6 +71,10 @@ class TestConfig:
             dict(particle_count=5, weighted_exponent=math.inf),
             dict(particle_count=5, weighted_exponent=-math.inf),
             dict(particle_count=5, weighted_exponent=math.nan),
+            dict(particle_count=5, weighted_exponent=800.0),
+            dict(particle_count=5, weighted_exponent=-800.0),
+            dict(particle_count=5, weighted_exponent=1e5),
+            dict(particle_count=5, weighted_exponent=-1e5),
             dict(particle_count=5.5),
             dict(particle_count=True),
             dict(particle_count="5"),
@@ -77,6 +87,17 @@ class TestConfig:
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError):
             TrackerConfig(**kw)
+
+    @pytest.mark.parametrize("exponent", [700.0, -700.0])
+    @pytest.mark.parametrize("n", [5, 100, 400])
+    def test_weighted_exponent_at_the_bound_tracks(self, exponent, n):
+        model, pose, frame, refs = small_scene()
+        cfg = TrackerConfig(
+            particle_count=n, resampler="weighted", weighted_exponent=exponent, sigma_xy=2.0
+        )
+        partition = partition_for(model.spec, cfg.partition_mode)
+        pset, _ = ps_step(initial_particle_set(n, pose), frame, partition, model, refs, cfg, 1)
+        assert np.isfinite(pset.states).all() and np.isfinite(pset.weights).all()
 
     def test_combinatorial_needs_parallel_partition(self):
         with pytest.raises(ValueError, match="parallel"):
@@ -180,7 +201,59 @@ class TestCorrect:
         model, pose, frame, refs = small_scene()
         states = initial_particle_set(3, pose).states
         cfg = cfg_for(model, particle_count=3)
-        np.testing.assert_array_equal(correct_part(states, 1, frame, refs, model, cfg), 1.0)
+        np.testing.assert_array_equal(correct_part(states, (1,), frame, refs, model, cfg), 1.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stage_scoring_matches_per_part_scoring(self, seed):
+        """Column j of one stage's ``correct_part`` is ``part_factors`` of
+        part parts[j] alone, bit for bit: parts of unequal size share one
+        window, placements lie off the canvas and across its border, and a
+        stage's batch splits over ``WINDOW_CELLS`` where one part's does not."""
+        rng = np.random.default_rng(seed)
+        spec = DbnSpec.star(4, 3)
+        model = ArticulatedModel(
+            spec, tuple(rng.uniform(8.0, 40.0, 13)), tuple(rng.uniform(3.0, 14.0, 13))
+        )
+        width, height, n = 200, 160, 120
+        pose = default_pose(model, (width / 2.0, height / 2.0))
+        frame = render_frame(model, pose, width, height)
+        refs = init_references(frame, model, pose)
+        states = np.repeat(pose[None], n, axis=0)
+        states[:, :, :2] += rng.uniform(-110.0, 110.0, (n, 13, 2))
+        states[:, :, 2] = rng.uniform(-math.pi, math.pi, (n, 13))
+        cfg = TrackerConfig(particle_count=n)
+        for parts in compute_partition(spec).steps:
+            got = correct_part(states, parts, frame, refs, model, cfg)
+            assert got.shape == (n, len(parts))
+            for j, k in enumerate(parts):
+                corners = place_polygons(model, k, states[:, k - 1])
+                want = part_factors(frame, corners, refs[k - 1], cfg.lam)
+                np.testing.assert_array_equal(got[:, j].view(np.int64), want.view(np.int64))
+        stage = compute_partition(spec).steps[1]
+        corners = np.concatenate([place_polygons(model, k, states[:, k - 1]) for k in stage])
+        x0, y0, nx, ny = polygon_bboxes(corners, width, height)
+        assert len(set(model.lengths[k - 1] for k in stage)) == len(stage)
+        assert (nx * ny == 0).any()  # off the canvas
+        assert ((corners.min(axis=1) < 0) & (nx * ny > 0)[:, None]).any()  # across the border
+        per_batch = WINDOW_CELLS // (nx.max() * ny.max())
+        assert n <= per_batch < len(corners)
+
+    def test_one_scoring_call_per_stage(self, monkeypatch):
+        calls = []
+        original = tracker.correct_part
+
+        def counting(states, parts, *args):
+            calls.append(parts)
+            return original(states, parts, *args)
+
+        monkeypatch.setattr(tracker, "correct_part", counting)
+        spec = DbnSpec.star(4, 3)
+        model, pose, frame, refs = small_scene(spec, width=160, height=128)
+        cfg = TrackerConfig(particle_count=8, resampler="combinatorial")
+        partition = partition_for(spec, "parallel")
+        ps_step(initial_particle_set(8, pose), frame, partition, model, refs, cfg, 1)
+        assert partition.num_steps == 4
+        assert calls == [tuple(sorted(step)) for step in partition.steps]
 
     def test_weights_stay_normalized(self, monkeypatch):
         seen = capture_resampler_inputs(monkeypatch)
@@ -196,6 +269,20 @@ class TestCorrect:
                 w = w * s.part_weights[:, k - 1]
             np.testing.assert_array_equal(s.weights, w / w.sum())
             assert (s.weights != s.weights[0]).any()
+
+    @pytest.mark.parametrize("n", [7, 10, 33])
+    def test_factor_columns_multiply_one_at_a_time(self, monkeypatch, n):
+        """The stage's weights are ((w * f_a) * f_b) * ... in ascending part
+        order, bit for bit; a 1/n that is not a power of two makes another
+        association (``np.prod`` over the columns first) round differently."""
+        seen = capture_resampler_inputs(monkeypatch)
+        model, frame, refs, pset, cfg = self.stage_inputs(n=n, sigma=3.0)
+        ps_step(pset, frame, partition_for(model.spec, "parallel"), model, refs, cfg, 1)
+        for s in seen:
+            w = np.full(n, 1.0 / n)
+            for k in sorted(s.fresh):
+                w = w * s.part_weights[:, k - 1]
+            np.testing.assert_array_equal(s.weights.view(np.int64), (w / w.sum()).view(np.int64))
 
     def test_correction_order_cannot_change_weights(self, monkeypatch):
         seen = capture_resampler_inputs(monkeypatch)
