@@ -76,10 +76,7 @@ _CORNERS = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 
 def _place(states: np.ndarray, lengths, widths) -> np.ndarray:
     # Corners (N, 4, 2) of N rectangles, sizes scalar or per-row columns.
-    # Cosines and sines come from ``math``, one call per row.
-    theta = states[:, 2].tolist()
-    c = np.array([math.cos(t) for t in theta])[:, None]
-    s = np.array([math.sin(t) for t in theta])[:, None]
+    c, s = np.cos(states[:, 2, None]), np.sin(states[:, 2, None])
     lx, ly = _CORNERS[:, 0] * lengths, _CORNERS[:, 1] * widths
     x, y = states[:, 0, None], states[:, 1, None]
     return np.stack((x + lx * c - ly * s, y + lx * s + ly * c), axis=2)

@@ -77,6 +77,8 @@ class SequenceSpec:
                 or not (isinstance(value, numbers.Real) and math.isfinite(value))
             ):
                 raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
+            elif types[f.name] is str and not isinstance(value, str):
+                raise ConfigError(f"{f.name} must be a string, not {value!r}")
         if self.arm_count < 0:
             raise ConfigError("arm_count must be >= 0")
         if self.arm_count > 0 and self.arm_length < 1:
@@ -158,9 +160,9 @@ def load_json(path):
 
 
 def load_truth(path) -> np.ndarray:
-    """(T, P, 3) ground truth from a truth.csv; an unreadable file or a
-    malformed or non-finite row is a ConfigError naming the file (and the
-    row)."""
+    """(T, P, 3) ground truth from a truth.csv; an unreadable file, a row
+    whose frame index is not its 1-based row number, or a malformed or
+    non-finite row is a ConfigError naming the file (and the row)."""
     rows = []
     with file_errors(path), open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -168,6 +170,8 @@ def load_truth(path) -> np.ndarray:
             if not record:
                 continue
             where = f"{path}, row {reader.line_num}"
+            if record[0].strip() != str(len(rows) + 1):
+                raise ConfigError(f"{where}: frame index {record[0]!r}, not {len(rows) + 1}")
             try:
                 values = [float(v) for v in record[1:]]
             except ValueError as exc:
@@ -377,9 +381,12 @@ def read_results_csv(path) -> BenchmarkReport:
             if len(record) != len(CSV_HEADER):
                 raise ConfigError(f"{where}: {len(record)} fields, not {len(CSV_HEADER)}")
             try:
-                rows.append(BenchmarkRow(*(parse(v) for parse, v in zip(parsers, record))))
+                row = BenchmarkRow(*(parse(v) for parse, v in zip(parsers, record)))
             except ValueError as exc:
                 raise ConfigError(f"{where}: {exc}") from exc
+            if not all(math.isfinite(v) for v in dataclasses.astuple(row) if isinstance(v, float)):
+                raise ConfigError(f"{where}: values must be finite")
+            rows.append(row)
     return BenchmarkReport(rows)
 
 

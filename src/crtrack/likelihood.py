@@ -4,7 +4,6 @@ distance, turned into per-part likelihood factors."""
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -87,13 +86,8 @@ def bhattacharyya(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def part_weight_factor(distance: np.ndarray, lam: float) -> np.ndarray:
-    """Likelihood factors exp(-lam d^2) of an array of distances, any shape.
-
-    The exponential is taken with ``math.exp`` per entry because ``np.exp``
-    rounds some arguments differently from the scalar reference.
-    """
-    exponents = -lam * distance * distance
-    return np.array([math.exp(v) for v in exponents.ravel().tolist()]).reshape(exponents.shape)
+    """Likelihood factors exp(-lam d^2) of an array of distances, any shape."""
+    return np.exp(-lam * distance * distance)
 
 
 def part_factors(image: np.ndarray, corners: np.ndarray, refs: np.ndarray, lam: float) -> np.ndarray:

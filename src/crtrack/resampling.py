@@ -211,14 +211,16 @@ class CompatibilityGroups:
     fragment is bit-for-bit identical share a group, numbered in
     first-occurrence order, and ``reps[h]`` is the lowest particle of group h.
     For current-stage part k, ``pools[k]`` is (label of each particle's donor
-    pool, size of each pool, part-k weight sum of each pool); group h draws
-    donors from pool ``pools[k][0][reps[h]]``.
+    pool, size of each pool, part-k weight sum of each pool, member table);
+    row p of the member table lists pool p ascending, padded with its last
+    member, and group h draws donors from pool ``pools[k][0][reps[h]]``.
+    Parts with one parent share the labels, sizes and member table.
     """
 
     parts: tuple[int, ...]
     labels: np.ndarray
     reps: np.ndarray
-    pools: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]
+    pools: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
 
     @property
     def group_count(self) -> int:
@@ -231,11 +233,11 @@ class CompatibilityGroups:
     @property
     def members(self) -> tuple[np.ndarray, ...]:
         """The particles of each group, ascending."""
-        return tuple(np.split(np.argsort(self.labels, kind="stable"), np.cumsum(self.sizes)[:-1]))
+        return tuple(np.flatnonzero(self.labels == h) for h in range(self.group_count))
 
     @property
     def part_pool_max(self) -> dict[int, int]:
-        return {k: int(sizes.max()) for k, (_, sizes, _) in self.pools.items()}
+        return {k: int(sizes.max()) for k, (_, sizes, _, _) in self.pools.items()}
 
 
 def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> CompatibilityGroups:
@@ -249,22 +251,29 @@ def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> Compatib
     alike = np.zeros(pset.n)
     labels, reps = _row_labels(pset.states[:, prev_cols] if prev_cols.size else alike)
 
-    # donor-pool labels, built once per parent that the stage's parts share
-    parent_labels = {
-        p: _row_labels(alike if p is None else pset.states[:, p - 1])[0]
-        for p in {dbn.parent_of(k) for k in parts}
-    }
+    # donor-pool labels, sizes and member table, built once per parent that
+    # the stage's parts share
+    tables = {}
+    for p in {dbn.parent_of(k) for k in parts}:
+        plabels = _row_labels(alike if p is None else pset.states[:, p - 1])[0]
+        sizes = np.bincount(plabels)
+        ends = np.cumsum(sizes)
+        cells = np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()), ends[:, None] - 1)
+        tables[p] = (plabels, sizes, np.argsort(plabels, kind="stable")[cells])
     pools = {}
     for k in parts:
-        plabels = parent_labels[dbn.parent_of(k)]
+        plabels, sizes, slot = tables[dbn.parent_of(k)]
         w = pset.part_weights[:, k - 1]
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise DegenerateWeights(f"part {k} weights must be finite and nonnegative")
-        sizes = np.bincount(plabels)
-        # one .sum() per pool over its weights in ascending index order, the
-        # rounding the pool's own normalization would give
-        pooled = np.split(w[np.argsort(plabels, kind="stable")], np.cumsum(sizes)[:-1])
-        pools[k] = (plabels, sizes, np.array([pool.sum() for pool in pooled]))
+        # each pool sums its weights in ascending index order; pools of one
+        # size are the rows of one C-contiguous table, so each row's sum
+        # rounds exactly as that pool's own .sum() does
+        sums = np.empty(len(sizes))
+        for size in np.unique(sizes):
+            rows = np.flatnonzero(sizes == size)
+            sums[rows] = w[slot[rows, :size]].sum(axis=1)
+        pools[k] = (plabels, sizes, sums, slot)
     return CompatibilityGroups(parts=parts, labels=labels, reps=reps, pools=pools)
 
 
@@ -289,7 +298,7 @@ def group_log_weights(groups: CompatibilityGroups) -> np.ndarray:
     """
     logw = np.log(groups.sizes)
     for k in groups.parts:
-        labels, pool_sizes, sums = groups.pools[k]
+        labels, pool_sizes, sums, _ = groups.pools[k]
         pool = labels[groups.reps]
         if not np.all(np.isfinite(sums)) or np.any(sums < 0):
             raise DegenerateWeights(f"part {k} has invalid pool weight sums")
@@ -325,11 +334,7 @@ def combinatorial_draw(
     by_group = np.argsort(chosen, kind="stable")
     donors: dict[int, np.ndarray] = {}
     for k in groups.parts:
-        labels, sizes, sums = groups.pools[k]
-        # row p of ``slot`` lists pool p ascending, padded with its last member
-        ends = np.cumsum(sizes)
-        cells = np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()), ends[:, None] - 1)
-        slot = np.argsort(labels, kind="stable")[cells]
+        labels, sizes, sums, slot = groups.pools[k]
         # each row is its pool's CDF, cumsum(w / pool sum) with the top forced
         # to 1 against rounding, and the padding at +inf where no draw lands;
         # pools of zero mass, never drawn, turn to NaN

@@ -90,10 +90,10 @@ def polygon_mask(corners, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
 
 def place_polygon(model, k: int, state) -> np.ndarray:
     """Corners (4, 2) of part k at one (x, y, theta) row: counterclockwise
-    from local (-L/2, -W/2), rotated with ``math.cos``/``math.sin``."""
+    from local (-L/2, -W/2), rotated with ``np.cos``/``np.sin`` of one float."""
     x, y, theta = float(state[0]), float(state[1]), float(state[2])
     length, width = model.lengths[k - 1], model.widths[k - 1]
-    c, s = math.cos(theta), math.sin(theta)
+    c, s = float(np.cos(theta)), float(np.sin(theta))
     local = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)]) * (length, width)
     return np.column_stack(
         (x + local[:, 0] * c - local[:, 1] * s, y + local[:, 0] * s + local[:, 1] * c)
@@ -131,7 +131,7 @@ def bhattacharyya(p: Histogram8, q: Histogram8) -> float:
 def part_factor(image: np.ndarray, corners, ref: Histogram8, lam: float) -> float:
     """Likelihood factor exp(-lam d^2) of one placement against ``ref``."""
     distance = bhattacharyya(region_histogram(image, corners), ref)
-    return math.exp(-lam * distance * distance)
+    return float(np.exp(-lam * distance * distance))
 
 
 def render_frame(model, state, width: int, height: int) -> np.ndarray:
@@ -229,7 +229,7 @@ def gammaln_log_masses(groups) -> np.ndarray:
     sizes = groups.sizes.astype(float)
     logw = np.log(sizes)
     for k in groups.parts:
-        labels, pool_sizes, sums = groups.pools[k]
+        labels, pool_sizes, sums, _ = groups.pools[k]
         pool = labels[groups.reps]
         pool_max = float(pool_sizes.max())
         pool_sizes, sums = pool_sizes[pool].astype(float), sums[pool]

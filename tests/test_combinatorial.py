@@ -74,7 +74,7 @@ class TestGrouping:
             (3, [0, 0, 0, 1, 1], [3, 2], [3.0, 3.0, 2.0]),
             (5, [0, 0, 1, 1, 1], [2, 3], [2.0, 3.0, 3.0]),
         ):
-            pool_labels, pool_sizes, pool_sums = groups.pools[k]
+            pool_labels, pool_sizes, pool_sums, _ = groups.pools[k]
             assert pool_labels.tolist() == labels
             assert pool_sizes.tolist() == sizes
             np.testing.assert_allclose(pool_sums[pool_labels[groups.reps]], group_sums)
@@ -395,7 +395,7 @@ class TestAgainstSlowPath:
             assert_matches_slow_path(pset, spec, stage, seed)
 
     @pytest.mark.parametrize("name", sorted(CROWDED_SPECS))
-    @pytest.mark.parametrize("n", [40, 100])
+    @pytest.mark.parametrize("n", [40, 100, 400])
     def test_crowded_sets_at_every_stage(self, name, n):
         spec = CROWDED_SPECS[name]
         pset = crowded_set(spec, n, seed=n)

@@ -96,6 +96,8 @@ class TestSequenceSpec:
             dict(seed=False),
             dict(part_length=True),
             dict(sigma_xy=False),
+            dict(name=None),
+            dict(name=5),
         ],
     )
     def test_validation(self, kw):
@@ -414,6 +416,18 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="row 2: 8 fields, not 9"):
             read_results_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_non_finite_value(self, tmp_path, value):
+        path = tmp_path / "results.csv"
+        write_results_csv(fake_report(), path)
+        lines = path.read_text().splitlines(keepends=True)
+        fields = lines[2].split(",")
+        fields[5] = value  # mean_error_px of the second row
+        lines[2] = ",".join(fields)
+        path.write_text("".join(lines))
+        with pytest.raises(ConfigError, match="row 3: values must be finite"):
+            read_results_csv(path)
+
 
 class TestSeries:
     def test_aggregates_sorted_by_particles(self):
@@ -629,6 +643,20 @@ class TestTrackRejectsBadInput:
         err = capsys.readouterr().err
         assert "truth.csv, row 2" in err and "8 values" in err
 
+    def test_truth_frames_reordered(self, seq, capsys):
+        truth = seq / "truth.csv"
+        truth.write_text("".join(reversed(truth.read_text().splitlines(keepends=True))))
+        assert self.track(seq) == 2
+        assert "truth.csv, row 1: frame index '5', not 1" in capsys.readouterr().err
+
+    def test_truth_frame_index_not_numeric(self, seq, capsys):
+        truth = seq / "truth.csv"
+        lines = truth.read_text().splitlines(keepends=True)
+        lines[2] = "abc," + lines[2].split(",", 1)[1]
+        truth.write_text("".join(lines))
+        assert self.track(seq) == 2
+        assert "truth.csv, row 3: frame index 'abc', not 3" in capsys.readouterr().err
+
     def test_truth_value_not_numeric(self, seq, capsys):
         truth = seq / "truth.csv"
         lines = truth.read_text().splitlines(keepends=True)
@@ -784,8 +812,9 @@ class TestTrackRejectsBadInput:
             dict(objects=[{**dataclasses.asdict(tiny_spec()), "part_length": 0}]),
             dict(seed=-1),
             dict(particles=[5.5]),
+            dict(objects=[{**dataclasses.asdict(tiny_spec()), "name": n} for n in (None, "a")]),
         ],
-        ids=["width", "part_length", "seed", "particles"],
+        ids=["width", "part_length", "seed", "particles", "name"],
     )
     def test_bench_bad_config_values(self, tmp_path, capsys, monkeypatch, bad):
         monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)

@@ -179,6 +179,30 @@ class TestPartWeightFactor:
         assert all(a > b for a, b in zip(factors, factors[1:]))
 
 
+class TestElementaryFunctionsRoundAlike:
+    """The oracles take ``np.exp``, ``np.cos`` and ``np.sin`` of one Python
+    float at a time, the library of whole (often strided) arrays; the bitwise
+    checks against the oracles hold only if numpy rounds a value the same
+    way wherever it sits.  Only positive strides are covered: on CPUs with
+    AVX-512, ``np.exp`` of a reversed view takes another loop that rounds
+    some values differently, and the library never hands it one."""
+
+    @pytest.mark.parametrize("fn", [np.exp, np.cos, np.sin], ids=lambda fn: fn.__name__)
+    def test_a_float_rounds_as_at_any_array_position(self, fn):
+        rng = np.random.default_rng(7)
+        x = np.concatenate((rng.uniform(-50.0, 0.0, 2000), rng.uniform(-math.pi, math.pi, 2000)))
+        alone = np.array([fn(v) for v in x.tolist()]).view(np.int64)
+        for shift in range(17):
+            np.testing.assert_array_equal(fn(x[shift:]).view(np.int64), alone[shift:])
+        for size in range(1, 18):
+            chunks = [fn(x[lo : lo + size]) for lo in range(0, len(x), size)]
+            np.testing.assert_array_equal(np.concatenate(chunks).view(np.int64), alone)
+        rows = np.zeros((len(x), 3))
+        rows[:, 2] = x
+        np.testing.assert_array_equal(fn(rows[:, 2]).view(np.int64), alone)
+        np.testing.assert_array_equal(fn(rows[:, 2, None]).view(np.int64)[:, 0], alone)
+
+
 RIGHT_ANGLES = (0.0, math.pi / 2, -math.pi / 2, math.pi)
 
 
@@ -237,7 +261,7 @@ def scalar_factors(image, model, states, ref, lam):
 
 class TestBatchedKernel:
     """``region_histograms`` and ``part_factors`` against the oracles' scalar
-    histogram -> distance -> ``math.exp`` chain, compared bit for bit."""
+    histogram -> distance -> ``np.exp`` chain, compared bit for bit."""
 
     @given(scored_batches(), st.sampled_from((0.0, 1.0, 50.0, 200.0)))
     @settings(max_examples=150, deadline=None)
