@@ -72,6 +72,11 @@ def _cmd_track(args) -> int:
     overrides = load_json(args.config) if args.config else {}
     cfg = tracker_config(spec, args.resampler, args.particles, args.seed, overrides)
     frames = load_frames(args.frames, (spec.width, spec.height))
+    if len(frames) != spec.frame_count:
+        raise ConfigError(
+            f"{args.frames}: {len(frames)} .pgm frames, but object.json gives frame_count "
+            f"{spec.frame_count}"
+        )
     truth = load_truth(args.truth)
     expected = (len(frames), spec.part_count, 3)
     if truth.shape != expected:

@@ -191,6 +191,52 @@ def ground_truth_step(
     return out
 
 
+def crossing_columns(corners, x0, y0, nx, ny) -> np.ndarray:
+    """Crossing columns (m, N, max ny) of N polygons with m corners each.
+
+    Entry (e, i, r) counts the columns c < nx[i] of block i whose centre
+    x0 + c + 0.5 lies strictly left of edge e's crossing xint of the row
+    centre yc = y0 + r + 0.5, or is 0 where the edge's half-open span
+    (lo <= yc < hi) misses the row; padded rows r >= ny[i] get 0.  The count
+    ``ceil(xint - 0.5) - x0``, clipped to [0, nx], is exact for blocks inside
+    [0, 2**52): xint - 0.5 is exact on [0.25, 2**52), and outside that range
+    the clipped count is 0 or nx.  A NaN crossing counts 0.  The dtype is the
+    narrowest signed integer that holds ``nx.max()``.
+    """
+    yc = y0[:, None] + np.arange(int(ny.max(initial=0))) + 0.5
+    x1, y1 = corners[:, :, 0].T[..., None], corners[:, :, 1].T[..., None]
+    x2, y2 = np.roll(x1, -1, axis=0), np.roll(y1, -1, axis=0)
+    hi = np.minimum(np.maximum(y1, y2), (y0 + ny)[:, None])
+    spans = (np.minimum(y1, y2) <= yc) & (yc < hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        xint = x1 + (yc - y1) / (y2 - y1) * (x2 - x1)
+        cols = np.minimum(np.fmax(np.ceil(xint - 0.5) - x0[:, None], 0), nx[:, None])
+    cols *= spans
+    return cols.astype(np.min_scalar_type(-int(nx.max(initial=0)) - 1))
+
+
+def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
+    """``polygon_masks`` and each polygon's pixel count, both from its
+    ``crossing_columns``.  Sorted, a row's columns s_0 <= ... <= s_{m-1}
+    make column c inside iff c lies in [s_{m-2}, s_{m-1}) or [s_{m-4},
+    s_{m-3}) or ..., with s_{-1} = 0 for odd m; a lower run is filled only
+    when some row of the batch has one, which no convex polygon does."""
+    s = list(crossing_columns(corners, x0, y0, nx, ny))
+    s = s if len(s) % 2 == 0 else [np.zeros_like(s[0]), *s]
+    for top in range(len(s) - 1, 0, -1):  # sorting network: a numpy sort is far slower
+        for j in range(top):
+            s[j], s[j + 1] = np.minimum(s[j], s[j + 1]), np.maximum(s[j], s[j + 1])
+    (lo, hi), *lower = [(s[j - 1], s[j]) for j in range(len(s) - 1, 0, -2)]
+    c = np.arange(int(nx.max(initial=0)), dtype=s[0].dtype)
+    mask = (c >= lo[..., None]) & (c < hi[..., None])
+    sizes = (hi - lo).sum(axis=1)
+    for lo, hi in lower:
+        if (lo < hi).any():
+            mask |= (c >= lo[..., None]) & (c < hi[..., None])
+            sizes += (hi - lo).sum(axis=1)
+    return mask, sizes
+
+
 def polygon_masks(
     corners: np.ndarray, x0: np.ndarray, y0: np.ndarray, nx: np.ndarray, ny: np.ndarray
 ) -> np.ndarray:
@@ -202,27 +248,10 @@ def polygon_masks(
     half-open edge spans (y1 <= yc < y2) and a strict x comparison.  Centres
     strictly inside are always in; centres exactly on the boundary resolve
     consistently, so translating a polygon by whole pixels translates its
-    fill.  Padded cells are never set: their rows get no crossing and their
-    columns a centre at +inf.
+    fill.  Padded cells are never set: ``crossing_columns`` gives their rows
+    no crossing and clips every crossing to the block's width.
     """
-    n, m = corners.shape[:2]
-    rows = np.arange(int(ny.max(initial=0)))
-    cols = np.arange(int(nx.max(initial=0)))
-    yc = y0[:, None] + rows + 0.5
-    xc = np.where(cols < nx[:, None], x0[:, None] + cols + 0.5, np.inf)
-    padded = rows >= ny[:, None]
-    mask = np.zeros((n, len(rows), len(cols)), dtype=bool)
-    crossed = np.empty_like(mask)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for e in range(m):
-            x1, y1 = corners[:, e, 0, None], corners[:, e, 1, None]
-            x2, y2 = corners[:, (e + 1) % m, 0, None], corners[:, (e + 1) % m, 1, None]
-            spans = ((y1 <= yc) & (yc < y2)) | ((y2 <= yc) & (yc < y1))
-            xint = x1 + (yc - y1) / (y2 - y1) * (x2 - x1)
-            xint[~spans | padded] = -np.inf
-            np.less(xc[:, None, :], xint[:, :, None], out=crossed)
-            mask ^= crossed
-    return mask
+    return polygon_fills(corners, x0, y0, nx, ny)[0]
 
 
 def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:

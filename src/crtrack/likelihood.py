@@ -13,8 +13,8 @@ from .geometry import (
     ObjectState,
     object_corners,
     polygon_bboxes,
+    polygon_fills,
     polygon_mask,
-    polygon_masks,
 )
 
 log = logging.getLogger(__name__)
@@ -49,9 +49,9 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     step = max(1, WINDOW_CELLS // max(1, wy * wx))
     for lo in range(0, n, step):
         batch = slice(lo, lo + step)
-        mask = polygon_masks(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
+        mask, sizes = polygon_fills(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
         values = windows[y0[batch], x0[batch], : mask.shape[1], : mask.shape[2]][mask] >> 5
-        keys = np.repeat(np.arange(len(mask)) * BIN_COUNT, np.count_nonzero(mask, axis=(1, 2)))
+        keys = np.repeat(np.arange(len(mask)) * BIN_COUNT, sizes)
         keys += values
         counts[batch] = np.bincount(keys, minlength=len(mask) * BIN_COUNT).reshape(-1, BIN_COUNT)
     return counts

@@ -52,4 +52,6 @@ def read_pgm(path) -> np.ndarray:
     if len(data) - pos < width * height:
         raise ValueError(f"{path}: truncated pixel data")
     pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    if pixels.size and pixels.max() > maxval:
+        raise ValueError(f"{path}: sample {pixels.max()} above maxval {maxval}")
     return pixels.reshape(height, width).copy()

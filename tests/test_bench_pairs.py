@@ -1,0 +1,75 @@
+"""``scripts/bench_pairs.py``'s summary of paired benchmark results, on
+canned result lines; no benchmark process starts."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+END_TO_END = [
+    {"name": "frames_per_s", "better": "higher", "bound": 0.25},
+    {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+    {"name": "mean_error_px", "better": "lower", "bound": 0.25},
+]
+
+
+def result_line(fps, rss, error=26.3912, failed=0):
+    metrics = {"frames_per_s": fps, "peak_rss_mb": rss, "mean_error_px": error}
+    return json.dumps({
+        "correct": failed == 0, "attempted": 24, "failed": failed,
+        "metrics": {k: {"value": v, "unit": "-"} for k, v in metrics.items()},
+    })
+
+
+def pairs_of(lines):
+    return [(json.loads(p), json.loads(c)) for p, c in lines]
+
+
+def row(lines, name):
+    return next(line for line in lines if line.startswith(name))
+
+
+def test_gain_needs_nine_wins_in_ten_beyond_the_parent_spread():
+    fps = [(8.0 + 0.1 * i, 11.0 + 0.1 * i) for i in range(10)]
+    lines, flagged = bench_pairs.summarize(
+        pairs_of([(result_line(p, 60.0), result_line(c, 60.0)) for p, c in fps]), END_TO_END
+    )
+    assert not flagged
+    assert lines[0] == "10 pairs; median [q1, q3] per side"
+    fps_row = row(lines[1:], "frames_per_s")
+    assert "parent 8.45 [8.225, 8.675]" in fps_row and "change 11.45" in fps_row
+    assert "wins 10/10" in fps_row and fps_row.endswith("gain")
+    # equal values are ties: no side wins, and nothing moved
+    assert row(lines[1:], "peak_rss_mb").endswith("wins 0/10  -")
+
+
+def test_eight_wins_in_ten_is_no_gain_and_a_worse_median_beyond_its_bound_shows():
+    fps = [(8.0, 9.0)] * 8 + [(9.0, 8.0)] * 2
+    rss = [(60.0, 67.0)] * 10
+    lines, _ = bench_pairs.summarize(
+        pairs_of([(result_line(p, rp), result_line(c, rc)) for (p, c), (rp, rc) in zip(fps, rss)]),
+        END_TO_END,
+    )
+    assert row(lines[1:], "frames_per_s").endswith("wins 8/10  -")
+    assert row(lines[1:], "peak_rss_mb").endswith("wins 0/10  worse")
+
+
+def test_error_and_failure_mismatches_are_flagged():
+    lines, flagged = bench_pairs.summarize(
+        pairs_of([
+            (result_line(8.0, 60.0), result_line(9.0, 60.0)),
+            (result_line(8.0, 60.0), result_line(9.0, 60.0, error=26.3913)),
+            (result_line(8.0, 60.0), result_line(9.0, 60.0, failed=2)),
+        ]),
+        END_TO_END,
+    )
+    assert flagged
+    flags = [line for line in lines if line.startswith("FLAG")]
+    assert flags == [
+        "FLAG pair 1: mean_error_px 26.3912 (parent) != 26.3913 (change)",
+        "FLAG pair 2: change failed 2 of 24",
+    ]

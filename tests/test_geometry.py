@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crtrack import geometry
+from crtrack import geometry, likelihood
 from crtrack.dbn import DbnSpec
 from crtrack.geometry import (
     ArticulatedModel,
@@ -346,6 +346,16 @@ class TestBatchedGeometry:
     # an edge of subnormal height: its crossing overflows to inf on every row
     # outside its span, where it is discarded, so no warning may escape
     @example([np.array([(0.0, 0.0), (3.0, 5e-324), (3.0, 3.0), (0.0, 3.0)])], 4, 4)
+    # a concave dart: rows through its notch cross 4 edges, so the fill needs
+    # the lower run next to the top one
+    @example([np.array([(0.5, 11.5), (6.25, 0.25), (11.5, 11.5), (6.25, 5.75)])], 12, 12)
+    # a self-intersecting bowtie, 4 crossings on every row between its tips
+    @example([np.array([(1.0, 1.0), (9.0, 9.0), (9.0, 1.0), (1.0, 9.0)])], 10, 10)
+    # a vertical edge on the pixel centres x = 3.5: the strict compare leaves
+    # column 3 out
+    @example([np.array([(3.5, 0.25), (8.0, 0.25), (8.0, 6.0), (3.5, 6.0)])], 10, 8)
+    # crossings near 1e16, where ceil(xint - 0.5) must clip to the block width
+    @example([np.array([(-1e16, 1.0), (1e16, 1.25), (1e16 + 4.0, 5.0), (-1e16, 5.5)])], 8, 8)
     @pytest.mark.filterwarnings("error")
     def test_masks_and_bboxes_match_the_scalar_fill(self, polys, width, height):
         corners = np.stack(polys)
@@ -359,6 +369,16 @@ class TestBatchedGeometry:
             expected = np.zeros(masks.shape[1:], dtype=bool)
             expected[:bny, :bnx] = polygon_mask(c, bx, by, bnx, bny)
             np.testing.assert_array_equal(masks[i], expected)
+
+    def test_blocks_wider_than_int16_fill_exactly(self):
+        # a 2 x 40,000 canvas: the quad's block spans more than 32,767 columns
+        image = np.full((2, 40_000), 100, dtype=np.uint8)
+        corners = np.array([[(0.3, 0.2), (39_999.6, 0.7), (39_990.2, 1.9), (10.1, 1.6)]])
+        x0, y0, nx, ny = polygon_bboxes(corners, 40_000, 2)
+        assert nx[0] > 32_767
+        mask = polygon_masks(corners, x0, y0, nx, ny)[0]
+        np.testing.assert_array_equal(mask, polygon_mask(corners[0], x0[0], y0[0], nx[0], ny[0]))
+        assert likelihood.region_counts(image, corners)[0, 3] == mask.sum() > 32_767
 
     def test_all_blocks_empty(self):
         corners = np.array([[(-9.0, -9.0), (-5.0, -9.0), (-5.0, -5.0), (-9.0, -5.0)]] * 3)

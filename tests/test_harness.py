@@ -706,6 +706,21 @@ class TestTrackRejectsBadInput:
         err = capsys.readouterr().err
         assert "frame_0003.pgm: frame is 10x10, the sequence is 64x48" in err
 
+    def test_frame_sample_above_maxval(self, seq, capsys):
+        frame = seq / "frame_0002.pgm"
+        pixels = np.random.default_rng(0).integers(0, 256, 64 * 48, dtype=np.uint8)
+        frame.write_bytes(b"P5\n64 48\n100\n" + pixels.tobytes())
+        assert self.track(seq) == 2
+        assert "frame_0002.pgm: sample 255 above maxval 100" in capsys.readouterr().err
+
+    def test_fewer_frames_than_object_json(self, seq, capsys):
+        for name in ("frame_0004.pgm", "frame_0005.pgm"):
+            (seq / name).unlink()
+        truth = seq / "truth.csv"
+        truth.write_text("".join(truth.read_text().splitlines(keepends=True)[:3]))
+        assert self.track(seq) == 2
+        assert "3 .pgm frames, but object.json gives frame_count 5" in capsys.readouterr().err
+
     def test_frame_header_garbled(self, seq, capsys):
         frame = seq / "frame_0002.pgm"
         frame.write_bytes(frame.read_bytes().replace(b"P5\n64", b"P5\n6x", 1))

@@ -41,6 +41,12 @@ class TestRead:
         path.write_bytes(b"P5\n2 2\n200\n" + bytes([0, 50, 100, 200]))
         np.testing.assert_array_equal(read_pgm(path), [[0, 50], [100, 200]])
 
+    def test_rejects_sample_above_maxval(self, tmp_path):
+        path = tmp_path / "e2.pgm"
+        path.write_bytes(b"P5\n2 2\n200\n" + bytes([0, 50, 201, 200]))
+        with pytest.raises(ValueError, match="e2.pgm: sample 201 above maxval 200"):
+            read_pgm(path)
+
     def test_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"P2\n2 2\n255\n0 0 0 0\n")
