@@ -3,14 +3,15 @@
 
 Run from anywhere:
 
-    python3 scripts/bench_pairs.py PARENT CHANGE --workload paper-comb-n400 \\
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload desk-comb paper-comb-n400 \\
         --seed 4 --pairs 10 --seconds 30
 
 PARENT and CHANGE are checkout directories, each with its own
 ``benchmark/run.py`` and ``src/``.  Pair i runs ``benchmark/run.py --trace 0``
 once in each checkout, one process at a time; the parent goes first in even
 pairs and the change in odd ones, so a drift in machine speed falls on both
-sides alike.
+sides alike.  With several workloads, each runs all its pairs in turn and
+gets its own summary, headed by its name.
 
 For every end-to-end metric in this repository's ``BENCHMARK.json`` it
 prints each side's median and quartiles, the pairs the change wins (ties
@@ -23,7 +24,8 @@ count for neither side) and a verdict:
 - ``-`` otherwise.
 
 A pair whose ``mean_error_px`` differs between the sides, or a run with a
-failed check, is flagged, and the exit code is then 1.
+failed check, is flagged, and the exit code is then 1 (for a flag in any
+workload).
 """
 
 from __future__ import annotations
@@ -38,9 +40,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_side(checkout: Path, args) -> dict:
+def run_side(checkout: Path, workload: str, args) -> dict:
     """The result object (last stdout line) of one benchmark run."""
-    cmd = [sys.executable, "benchmark/run.py", "--workload", args.workload,
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode not in (0, 1) or not proc.stdout.strip():
@@ -95,7 +97,7 @@ def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, nargs="+")
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -111,16 +113,20 @@ def parse_args(argv):
 def main(argv=None) -> int:
     args = parse_args(argv)
     end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    pairs = []
-    for i in range(args.pairs):
-        order = (0, 1) if i % 2 == 0 else (1, 0)  # the parent first in even pairs
-        results = {j: run_side((args.parent, args.change)[j], args) for j in order}
-        pairs.append((results[0], results[1]))
-        fps = [r["metrics"]["frames_per_s"]["value"] for r in pairs[-1]]
-        print(f"pair {i}: frames_per_s parent {fps[0]:.4g} change {fps[1]:.4g}", flush=True)
-    lines, flagged = summarize(pairs, end_to_end)
-    print("\n".join(lines))
-    return 1 if flagged else 0
+    any_flagged = False
+    for workload in args.workload:
+        print(f"workload {workload}", flush=True)
+        pairs = []
+        for i in range(args.pairs):
+            order = (0, 1) if i % 2 == 0 else (1, 0)  # the parent first in even pairs
+            results = {j: run_side((args.parent, args.change)[j], workload, args) for j in order}
+            pairs.append((results[0], results[1]))
+            fps = [r["metrics"]["frames_per_s"]["value"] for r in pairs[-1]]
+            print(f"pair {i}: frames_per_s parent {fps[0]:.4g} change {fps[1]:.4g}", flush=True)
+        lines, flagged = summarize(pairs, end_to_end)
+        print("\n".join(lines), flush=True)
+        any_flagged |= flagged
+    return 1 if any_flagged else 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Binary portable graymap (P5) reading and writing, 8-bit only."""
+"""Binary portable graymap (P5) files: 8- and 16-bit reading, 8-bit writing."""
 
 from __future__ import annotations
 
@@ -35,6 +35,8 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def read_pgm(path) -> np.ndarray:
+    """The image of a P5 file as uint8, its samples scaled from 0..maxval to
+    0..255 with rounding; maxval above 255 means 16-bit big-endian samples."""
     data = Path(path).read_bytes()
     magic, pos = _read_header_token(data, 0)
     if magic != b"P5":
@@ -46,12 +48,15 @@ def read_pgm(path) -> np.ndarray:
             raise ValueError(f"{path}: bad header field {token!r}")
         fields.append(int(token))
     width, height, maxval = fields
-    if not 0 < maxval <= 255:
+    if not 0 < maxval <= 65535:
         raise ValueError(f"{path}: unsupported maxval {maxval}")
+    dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
     pos += 1  # single whitespace byte after maxval
-    if len(data) - pos < width * height:
+    if len(data) - pos < width * height * dtype.itemsize:
         raise ValueError(f"{path}: truncated pixel data")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height, offset=pos)
+    pixels = np.frombuffer(data, dtype=dtype, count=width * height, offset=pos)
     if pixels.size and pixels.max() > maxval:
         raise ValueError(f"{path}: sample {pixels.max()} above maxval {maxval}")
-    return pixels.reshape(height, width).copy()
+    if maxval != 255:
+        pixels = (pixels.astype(np.uint32) * 255 + maxval // 2) // maxval
+    return pixels.reshape(height, width).astype(np.uint8)

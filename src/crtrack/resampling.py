@@ -71,7 +71,7 @@ def _normalized(weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise DegenerateWeights("need a non-empty 1-d weight vector")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+    if not np.isfinite(w).all() or (w < 0).any():
         raise DegenerateWeights("weights must be finite and nonnegative")
     total = w.sum()
     if total <= 0:
@@ -81,7 +81,9 @@ def _normalized(weights) -> np.ndarray:
 
 def _cdf(weights) -> np.ndarray:
     cdf = np.cumsum(_normalized(weights))
-    cdf[-1] = 1.0  # guard the top against rounding; draws never exceed 1
+    # guard the top against rounding from the last positive weight on, so a
+    # draw of 1 never lands on a trailing zero weight; draws never exceed 1
+    cdf[cdf == cdf[-1]] = 1.0
     return cdf
 
 
@@ -211,10 +213,12 @@ class CompatibilityGroups:
     fragment is bit-for-bit identical share a group, numbered in
     first-occurrence order, and ``reps[h]`` is the lowest particle of group h.
     For current-stage part k, ``pools[k]`` is (label of each particle's donor
-    pool, size of each pool, part-k weight sum of each pool, member table);
-    row p of the member table lists pool p ascending, padded with its last
-    member, and group h draws donors from pool ``pools[k][0][reps[h]]``.
-    Parts with one parent share the labels, sizes and member table.
+    pool, size of each pool, part-k weight sum of each pool, pool-sorted
+    order); the order lists the particles pool by pool, ascending within a
+    pool, so pool p occupies ``order[start:start + size]`` with ``start`` the
+    sizes of the pools before it.  Group h draws donors from pool
+    ``pools[k][0][reps[h]]``.  Parts with one parent share the labels, sizes
+    and order.
     """
 
     parts: tuple[int, ...]
@@ -229,11 +233,6 @@ class CompatibilityGroups:
     @property
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels)
-
-    @property
-    def members(self) -> tuple[np.ndarray, ...]:
-        """The particles of each group, ascending."""
-        return tuple(np.flatnonzero(self.labels == h) for h in range(self.group_count))
 
     @property
     def part_pool_max(self) -> dict[int, int]:
@@ -251,29 +250,20 @@ def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> Compatib
     alike = np.zeros(pset.n)
     labels, reps = _row_labels(pset.states[:, prev_cols] if prev_cols.size else alike)
 
-    # donor-pool labels, sizes and member table, built once per parent that
-    # the stage's parts share
+    # donor-pool labels, sizes and order, built once per parent that the
+    # stage's parts share
     tables = {}
     for p in {dbn.parent_of(k) for k in parts}:
         plabels = _row_labels(alike if p is None else pset.states[:, p - 1])[0]
-        sizes = np.bincount(plabels)
-        ends = np.cumsum(sizes)
-        cells = np.minimum(ends[:, None] - sizes[:, None] + np.arange(sizes.max()), ends[:, None] - 1)
-        tables[p] = (plabels, sizes, np.argsort(plabels, kind="stable")[cells])
+        tables[p] = (plabels, np.bincount(plabels), np.argsort(plabels, kind="stable"))
     pools = {}
     for k in parts:
-        plabels, sizes, slot = tables[dbn.parent_of(k)]
+        plabels, sizes, order = tables[dbn.parent_of(k)]
         w = pset.part_weights[:, k - 1]
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
+        if not np.isfinite(w).all() or (w < 0).any():
             raise DegenerateWeights(f"part {k} weights must be finite and nonnegative")
-        # each pool sums its weights in ascending index order; pools of one
-        # size are the rows of one C-contiguous table, so each row's sum
-        # rounds exactly as that pool's own .sum() does
-        sums = np.empty(len(sizes))
-        for size in np.unique(sizes):
-            rows = np.flatnonzero(sizes == size)
-            sums[rows] = w[slot[rows, :size]].sum(axis=1)
-        pools[k] = (plabels, sizes, sums, slot)
+        # each pool sums its weights one by one in ascending index order
+        pools[k] = (plabels, sizes, np.bincount(plabels, weights=w, minlength=len(sizes)), order)
     return CompatibilityGroups(parts=parts, labels=labels, reps=reps, pools=pools)
 
 
@@ -300,11 +290,11 @@ def group_log_weights(groups: CompatibilityGroups) -> np.ndarray:
     for k in groups.parts:
         labels, pool_sizes, sums, _ = groups.pools[k]
         pool = labels[groups.reps]
-        if not np.all(np.isfinite(sums)) or np.any(sums < 0):
+        if not np.isfinite(sums).all() or (sums < 0).any():
             raise DegenerateWeights(f"part {k} has invalid pool weight sums")
         with np.errstate(divide="ignore"):
             logw += np.log(sums[pool]) - np.log(pool_sizes[pool])
-    if not np.any(np.isfinite(logw)):
+    if not np.isfinite(logw).any():
         raise DegenerateWeights("every group has zero or invalid mass")
     return logw
 
@@ -332,21 +322,25 @@ def combinatorial_draw(
     n = pset.n if size is None else int(size)
     chosen = multinomial_draw(mass, rng, size=n)
     by_group = np.argsort(chosen, kind="stable")
+    rep_of_draw = groups.reps[chosen]
     donors: dict[int, np.ndarray] = {}
     for k in groups.parts:
-        labels, sizes, sums, slot = groups.pools[k]
-        # each row is its pool's CDF, cumsum(w / pool sum) with the top forced
-        # to 1 against rounding, and the padding at +inf where no draw lands;
-        # pools of zero mass, never drawn, turn to NaN
-        with np.errstate(invalid="ignore"):
-            cdf = np.cumsum(pset.part_weights[slot, k - 1] / sums[:, None], axis=1)
-        cdf[np.arange(len(sizes)), sizes - 1] = 1.0
-        cdf[np.arange(cdf.shape[1]) >= sizes[:, None]] = np.inf
+        labels, sizes, sums, order = groups.pools[k]
+        # one prefix sum over the pool-sorted weights, each divided by its own
+        # pool's sum so that every pool spans about 1 whatever its mass (raw
+        # weights would let a pool of tiny mass vanish in the rounding of the
+        # pools before it); pools of zero mass, never drawn, add 0
+        divisor = np.where(sums > 0, sums, np.inf)[labels[order]]
+        cdf = np.cumsum(pset.part_weights[order, k - 1] / divisor)
+        top = cdf[np.cumsum(sizes) - 1]
+        below = np.concatenate(([0.0], top[:-1]))
         u = np.empty(n)
         u[by_group] = 1.0 - rng.random(n)
-        pool = labels[groups.reps[chosen]]
-        # the count of CDF entries below u is searchsorted(side="left")
-        donors[k] = slot[pool, np.count_nonzero(cdf[pool] < u[:, None], axis=1)]
+        pool = labels[rep_of_draw]
+        # a draw u in (0, 1] targets below + u, kept above the pools before
+        # and at most the pool's top, so it lands on a positive-weight member
+        target = np.minimum(np.maximum(below[pool] + u, np.nextafter(below, np.inf)[pool]), top[pool])
+        donors[k] = order[np.searchsorted(cdf, target, side="left")]
     return groups, chosen, donors
 
 

@@ -220,6 +220,11 @@ def reference_rearrangements(pset: ParticleSet, spec: DbnSpec, stage: int):
         yield states, part_weights
 
 
+def group_members(groups) -> tuple[np.ndarray, ...]:
+    """The particles of each group of a library grouping, ascending."""
+    return tuple(np.flatnonzero(groups.labels == h) for h in range(groups.group_count))
+
+
 def gammaln_log_masses(groups) -> np.ndarray:
     """Log group masses of a library grouping from the paper's closed form,
     term by term through log-gamma, without cancelling anything:
@@ -244,15 +249,27 @@ def gammaln_log_masses(groups) -> np.ndarray:
 
 
 def reference_combinatorial_resample(
-    pset: ParticleSet, spec: DbnSpec, stage: int, rng: np.random.Generator
+    pset: ParticleSet, spec: DbnSpec, stage: int, rng: np.random.Generator, per_pool: bool = False
 ) -> np.ndarray:
     """Resampled states of the combinatorial scheme, the slow way.
 
     Groups and donor pools come from per-row ``tobytes`` dictionaries, the
     group mass from the closed form term by term, and the donors of each
-    (part, group) from their own ``multinomial_draw``, groups in ascending
-    order.  The library draws the same stream in one pass per part, so the
-    two must agree bit for bit.
+    (part, group) from their own draw, groups in ascending order.
+
+    By default the arithmetic is the library's: each pool sums its weights
+    one at a time in ascending index order, and a donor draw u targets
+    ``below + u`` in one running sum of the weights, each divided by its own
+    pool's sum, over the pools in first-occurrence order (``below`` is the
+    running sum before the pool), kept above ``below`` and at most the
+    running sum at the pool's last member.  The library draws the same
+    stream in one pass per part, so the two must agree bit for bit, on CDF
+    steps too.
+
+    ``per_pool=True`` is the textbook form: pairwise pool sums (numpy's
+    ``.sum()``) and one ``multinomial_draw`` per (part, group) over its pool
+    alone.  It draws from the same law and differs only for a uniform within
+    rounding of a CDF step.
     """
     prev_cols, _ = _stage_columns(spec, stage)
     parts = _depth_steps(spec)[stage - 1]
@@ -264,11 +281,17 @@ def reference_combinatorial_resample(
             order.setdefault(key, len(order))
         return np.array([order[key] for key in keys])
 
+    def sequential_sum(values):
+        total = 0.0
+        for v in values:
+            total += float(v)
+        return total
+
     labels = first_occurrence_labels([pset.states[i][prev_cols].tobytes() for i in range(n)])
     members = [np.flatnonzero(labels == h) for h in range(labels.max() + 1)]
     sizes = np.array([len(m) for m in members]).astype(float)
     logw = np.log(sizes)
-    group_pools = {}
+    part_pools = {}
     for k in parts:
         parent = spec.parents[k - 1]
         if parent is None:
@@ -280,10 +303,11 @@ def reference_combinatorial_resample(
             )
             pools = [np.flatnonzero(plabels == c) for c in range(plabels.max() + 1)]
             pool_of_group = np.array([plabels[m[0]] for m in members])
-        group_pools[k] = [pools[c] for c in pool_of_group]
-        pool_sizes = np.array([len(pool) for pool in group_pools[k]]).astype(float)
-        pool_sums = np.array([float(pset.part_weights[pool, k - 1].sum()) for pool in pools])
-        sums = pool_sums[pool_of_group]
+        w = pset.part_weights[:, k - 1]
+        pool_sums = [float(w[pool].sum()) if per_pool else sequential_sum(w[pool]) for pool in pools]
+        part_pools[k] = (pools, pool_of_group, pool_sums)
+        pool_sizes = np.array([len(pools[c]) for c in pool_of_group]).astype(float)
+        sums = np.array(pool_sums)[pool_of_group]
         with np.errstate(divide="ignore"):
             logw += np.log(sums) - np.log(pool_sizes)
     mass = np.exp(logw - logw[np.isfinite(logw)].max())
@@ -294,13 +318,30 @@ def reference_combinatorial_resample(
     for j in range(n):
         states[j][prev_cols] = pset.states[members[chosen[j]][0]][prev_cols]
     for k in parts:
+        pools, pool_of_group, pool_sums = part_pools[k]
+        w = pset.part_weights[:, k - 1]
+        # per pool: the running sum before it and after each of its members
+        runs, total = [], 0.0
+        for pool, pool_sum in zip(pools, pool_sums):
+            below, running = total, []
+            for i in pool:
+                total += float(w[i]) / pool_sum if pool_sum > 0 else 0.0
+                running.append(total)
+            runs.append((below, running))
         donors = np.empty(n, dtype=int)
         for h in range(len(members)):
             here = np.flatnonzero(chosen == h)
             if here.size == 0:
                 continue
-            pool = group_pools[k][h]
-            picks = multinomial_draw(pset.part_weights[pool, k - 1], rng, size=here.size)
+            pool = pools[pool_of_group[h]]
+            if per_pool:
+                picks = multinomial_draw(w[pool], rng, size=here.size)
+            else:
+                below, running = runs[pool_of_group[h]]
+                picks = []
+                for u in 1.0 - rng.random(here.size):
+                    target = min(max(below + float(u), math.nextafter(below, math.inf)), running[-1])
+                    picks.append(next(j for j, value in enumerate(running) if value >= target))
             donors[here] = pool[picks]
         cols = blocks_of(spec, k)
         for j in range(n):

@@ -44,6 +44,7 @@ from crtrack.resampling import (
 from crtrack.tracker import RESAMPLER_NAMES, TrackerConfig, track_sequence
 
 from oracles import (
+    group_members,
     random_small_instance,
     reference_rearrangements,
     union_group_masses,
@@ -85,8 +86,8 @@ def test_criterion_1_group_masses_match_exact_enumeration():
             groups, impl = normalized_group_masses(pset, spec, stage)
             oracle = union_group_masses(pset, spec, stage)
             total = sum(oracle.values())
-            for h in range(groups.group_count):
-                rep = int(groups.members[h][0])
+            for h, members in enumerate(group_members(groups)):
+                rep = int(members[0])
                 exact = Fraction(oracle[fragment_key(pset, spec, stage, rep)], total)
                 assert abs(impl[h] - float(exact)) <= 1e-9 * float(exact)
             instances += 1

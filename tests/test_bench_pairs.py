@@ -73,3 +73,37 @@ def test_error_and_failure_mismatches_are_flagged():
         "FLAG pair 1: mean_error_px 26.3912 (parent) != 26.3913 (change)",
         "FLAG pair 2: change failed 2 of 24",
     ]
+
+
+def test_several_workloads_get_one_summary_each_and_any_flag_fails(tmp_path, monkeypatch, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "benchmark").mkdir(parents=True)
+        (tmp_path / side / "benchmark" / "run.py").write_text("")
+    runs = []
+
+    def fake_run_side(checkout, workload, args):
+        runs.append((checkout.name, workload))
+        error = 26.3913 if (checkout.name, workload) == ("change", "paper-comb-n400") else 26.3912
+        return json.loads(result_line(8.0 if checkout.name == "parent" else 9.0, 60.0, error=error))
+
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
+    argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seed", "1", "--pairs", "2",
+            "--seconds", "1", "--workload"]
+    assert bench_pairs.main(argv + ["desk-comb", "desk-sys-singleton"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("workload")] == [
+        "workload desk-comb", "workload desk-sys-singleton"
+    ]
+    assert sum(line == "2 pairs; median [q1, q3] per side" for line in out) == 2
+    # each workload runs all its pairs, the parent first in even pairs
+    assert runs == [
+        ("parent", "desk-comb"), ("change", "desk-comb"), ("change", "desk-comb"), ("parent", "desk-comb"),
+        ("parent", "desk-sys-singleton"), ("change", "desk-sys-singleton"),
+        ("change", "desk-sys-singleton"), ("parent", "desk-sys-singleton"),
+    ]
+
+    assert bench_pairs.main(argv + ["paper-comb-n400", "desk-comb"]) == 1
+    out = capsys.readouterr().out
+    assert out.index("workload paper-comb-n400") < out.index("FLAG pair 0") < out.index("workload desk-comb")

@@ -20,6 +20,7 @@ from conftest import make_particle_set
 from oracles import (
     blocks_of,
     gammaln_log_masses,
+    group_members,
     random_small_instance,
     reference_combinatorial_resample,
     reference_rearrangements,
@@ -59,7 +60,7 @@ class TestGrouping:
     def test_five_part_group_members(self, five_part_instance):
         pset, spec, stage = five_part_instance
         groups = group_compatibility(pset, spec, stage)
-        assert [m.tolist() for m in groups.members] == [[0, 1], [2], [3, 4]]
+        assert [m.tolist() for m in group_members(groups)] == [[0, 1], [2], [3, 4]]
         assert groups.parts == (3, 5)
         assert groups.sizes.sum() == pset.n
 
@@ -82,15 +83,16 @@ class TestGrouping:
     def test_groups_are_subsets_of_their_pools(self, five_part_instance):
         pset, spec, stage = five_part_instance
         groups = group_compatibility(pset, spec, stage)
+        members = group_members(groups)
         for k in groups.parts:
             for h in range(groups.group_count):
-                assert set(groups.members[h]) <= set(pool_of(groups, k, h))
+                assert set(members[h]) <= set(pool_of(groups, k, h))
 
     def test_stage_one_is_a_single_group(self, five_part_instance):
         pset, spec, _ = five_part_instance
         groups = group_compatibility(pset, spec, 1)
         assert groups.group_count == 1
-        assert groups.members[0].tolist() == [0, 1, 2, 3, 4]
+        assert group_members(groups)[0].tolist() == [0, 1, 2, 3, 4]
         assert pool_of(groups, 1, 0).tolist() == [0, 1, 2, 3, 4]
 
     def test_stage_out_of_range(self, five_part_instance):
@@ -130,8 +132,8 @@ class TestGroupMass:
         impl = normalized_masses(pset, spec, stage)
         oracle = union_group_masses(pset, spec, stage)
         total = sum(oracle.values())
-        for h in range(groups.group_count):
-            key = group_key(pset, spec, stage, int(groups.members[h][0]))
+        for h, members in enumerate(group_members(groups)):
+            key = group_key(pset, spec, stage, int(members[0]))
             exact = Fraction(oracle[key], total)
             assert abs(impl[h] - float(exact)) <= 1e-9 * float(exact)
 
@@ -335,12 +337,17 @@ class TestDrawAndResample:
 
 def assert_matches_slow_path(pset, spec, stage, seed):
     """The library resample equals the per-group loop of the oracle bit for
-    bit, and both leave the generator at the same point."""
-    fast_rng, slow_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    bit, and both leave the generator at the same point.  On a generator's
+    stream it also equals the oracle's textbook form (pairwise pool sums, one
+    CDF per pool): such a stream puts no uniform within rounding of a step."""
+    fast_rng = np.random.default_rng(seed)
     fast = combinatorial_resample(pset, spec, stage, fast_rng).states
-    slow = reference_combinatorial_resample(pset, spec, stage, slow_rng)
-    np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
-    assert fast_rng.random() == slow_rng.random()
+    after = fast_rng.random()
+    for per_pool in (False, True):
+        slow_rng = np.random.default_rng(seed)
+        slow = reference_combinatorial_resample(pset, spec, stage, slow_rng, per_pool=per_pool)
+        np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+        assert slow_rng.random() == after
 
 
 def crowded_set(spec, n, seed, alphabet=2):
@@ -442,3 +449,122 @@ class TestAgainstSlowPath:
         assert np.isneginf(logw).any() and np.isfinite(logw).any()
         for seed in range(5):
             assert_matches_slow_path(pset, spec, 2, seed)
+
+
+class Stream:
+    """Stands in for a generator: hands out the given uniforms in order."""
+
+    def __init__(self, values):
+        self.values = [float(v) for v in values]
+
+    def random(self, size):
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out)
+
+
+def pooled_chain(pool_weights):
+    """A two-part chain at stage 2 whose groups are its part-2 donor pools:
+    pool h holds ``len(pool_weights[h])`` consecutive particles with those
+    part-2 weights.  Also returns each group's mass and the particles' pool
+    labels."""
+    spec = DbnSpec.chain(2)
+    labels = np.repeat(np.arange(len(pool_weights)), [len(w) for w in pool_weights])
+    pset = make_particle_set(spec, (tuple(labels), tuple(range(len(labels)))))
+    pset.part_weights[:, 1] = np.concatenate(pool_weights)
+    return pset, spec, normalized_masses(pset, spec, 2), labels
+
+
+def group_uniforms(mass, counts):
+    """Group-draw uniforms (as ``1 - u`` generator values) that give group h
+    ``counts[h]`` draws, each at the middle of the group's mass interval."""
+    mids = np.cumsum(mass) - mass / 2
+    return 1.0 - np.repeat(mids, counts)
+
+
+class TestFlatDonorDraw:
+    """The donor draw looks each part up in one prefix sum over the
+    pool-sorted weights, each normalized by its own pool's sum."""
+
+    def test_tiny_pool_after_a_heavy_one(self):
+        """A pool of mass 4e-20 after one of mass 1: a prefix over raw
+        weights would round the tiny pool's steps away and always draw its
+        first member."""
+        spec = DbnSpec.star(2, 1)
+        pw = np.ones((4, 3))
+        pw[:, 1] = [0.5, 0.5, 1e-20, 3e-20]
+        pw[:, 2] = [1e-20, 3e-20, 0.5, 0.5]
+        pset = make_particle_set(spec, ((0, 0, 1, 1), (0, 1, 2, 3), (0, 1, 2, 3)), part_weights=pw)
+        np.testing.assert_allclose(normalized_masses(pset, spec, 2), [0.5, 0.5], rtol=1e-12)
+        for seed in range(20):
+            assert_matches_slow_path(pset, spec, 2, seed)
+        _, chosen, donors = combinatorial_draw(pset, spec, 2, np.random.default_rng(5), size=4000)
+        for k, h, heavier in ((2, 1, 3), (3, 0, 1)):
+            picked = donors[k][chosen == h]
+            assert set(picked.tolist()) == {heavier - 1, heavier}
+            assert abs(np.mean(picked == heavier) - 0.75) < 0.05
+
+    @pytest.mark.parametrize("u", [1.0, 2.0**-53])
+    def test_extreme_uniforms_skip_zero_weight_pool_ends(self, u):
+        """Pools whose first and last members weigh 0: a draw of u = 1 must
+        stop at the pool's last positive member, though the second pool's
+        running sum tops out below 1 + 1; one of u = 2^-53, which vanishes
+        next to the first pool's exact sum 1, must start past the pool's
+        first member.  A trailing all-zero pool has no mass."""
+        pool_weights = [
+            [0.0, 0.25, 0.75, 0.0],
+            [0.0, 0.0, 0.1, 0.3, 0.7, 0.0],
+            [0.0, 1e-3, 0.5, 0.25, 0.0, 0.0],
+            [0.0, 0.0, 0.0],
+        ]
+        pset, spec, mass, labels = pooled_chain(pool_weights)
+        assert mass[-1] == 0.0
+        counts = [5, 7, 7, 0]
+        stream = list(group_uniforms(mass, counts)) + [1.0 - u] * pset.n
+        groups, chosen, donors = combinatorial_draw(pset, spec, 2, Stream(stream))
+        np.testing.assert_array_equal(np.bincount(chosen, minlength=4), counts)
+        assert np.all(labels[donors[2]] == chosen)
+        assert np.all(pset.part_weights[donors[2], 1] > 0)
+        slow = reference_combinatorial_resample(pset, spec, 2, Stream(stream))
+        fast = assemble_combinatorial(pset, spec, 2, groups, chosen, donors)
+        np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+
+    @pytest.mark.parametrize("steps", ["pool-pairwise", "pool-sequential", "prefix"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_pools_of_eight_or_more_on_cdf_steps(self, seed, steps):
+        """Pools of 9 to 16 members, where ``np.bincount`` sums (one by one)
+        and pairwise ``.sum()`` can differ, drawn with a uniform exactly on
+        every step of each pool's CDF.  The steps are those of the pool's own
+        CDF with pairwise or sequential sums, or of the library's running sum
+        less the sum before the pool.  The draws equal the slow path's bit
+        for bit, and each lies within 1e-12 of the interval of the textbook
+        per-pool CDF that holds its uniform."""
+        rng = np.random.default_rng(seed)
+        pool_weights = [rng.random(size) for size in (10, 12, 9, 16)]
+        pset, spec, mass, labels = pooled_chain(pool_weights)
+        sequential = np.bincount(labels, weights=pset.part_weights[:, 1])
+        if seed == 0:
+            assert any(w.sum() != s for w, s in zip(pool_weights, sequential))
+        prefix = np.cumsum(pset.part_weights[:, 1] / sequential[labels])
+        ends = np.cumsum([len(w) for w in pool_weights])
+        uniforms = []
+        for h, w in enumerate(pool_weights):
+            if steps == "prefix":
+                cdf = prefix[ends[h] - len(w):ends[h]] - (prefix[ends[h] - len(w) - 1] if h else 0.0)
+            else:
+                cdf = np.cumsum(w / (w.sum() if steps == "pool-pairwise" else sequential[h]))
+            uniforms.extend(np.minimum(cdf, 1.0))
+        uniforms = np.array(uniforms)
+        stream = list(group_uniforms(mass, [len(w) for w in pool_weights])) + list(1.0 - uniforms)
+
+        groups, chosen, donors = combinatorial_draw(pset, spec, 2, Stream(stream))
+        np.testing.assert_array_equal(chosen, labels)
+        slow = reference_combinatorial_resample(pset, spec, 2, Stream(stream))
+        fast = assemble_combinatorial(pset, spec, 2, groups, chosen, donors)
+        np.testing.assert_array_equal(fast.view(np.int64), slow.view(np.int64))
+
+        u = 1.0 - (1.0 - uniforms)  # what the library saw
+        for h, w in enumerate(pool_weights):
+            cdf = np.concatenate(([0.0], np.cumsum(w / w.sum())))
+            rank = donors[2][chosen == h] - (ends[h] - len(w))
+            here = u[chosen == h]
+            assert np.all(cdf[rank] - 1e-12 < here) and np.all(here <= cdf[rank + 1] + 1e-12)

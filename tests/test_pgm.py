@@ -39,7 +39,37 @@ class TestRead:
     def test_smaller_maxval_is_accepted(self, tmp_path):
         path = tmp_path / "e.pgm"
         path.write_bytes(b"P5\n2 2\n200\n" + bytes([0, 50, 100, 200]))
-        np.testing.assert_array_equal(read_pgm(path), [[0, 50], [100, 200]])
+        # scaled to 0..255 with rounding: (v * 255 + 100) // 200
+        np.testing.assert_array_equal(read_pgm(path), [[0, 64], [128, 255]])
+
+    @pytest.mark.parametrize("maxval", [1, 3, 100, 254, 255, 256, 1000, 4095, 65535])
+    def test_every_sample_scales_by_rounding(self, tmp_path, maxval):
+        samples = np.unique(np.linspace(0, maxval, 50).round().astype(np.int64))
+        raw = samples.astype(np.uint8 if maxval <= 255 else ">u2").tobytes()
+        path = tmp_path / "s.pgm"
+        path.write_bytes(f"P5\n{samples.size} 1\n{maxval}\n".encode() + raw)
+        expected = [(v * 255 + maxval // 2) // maxval for v in samples.tolist()]
+        image = read_pgm(path)
+        assert image.dtype == np.uint8 and image.tolist() == [expected]
+        assert image[0, 0] == 0 and image[0, -1] == 255
+
+    def test_sixteen_bit_file_equals_its_eight_bit_twin(self, tmp_path):
+        rng = np.random.default_rng(1)
+        image = rng.integers(0, 256, size=(9, 13)).astype(np.uint8)
+        write_pgm(tmp_path / "eight.pgm", image)
+        wide = tmp_path / "sixteen.pgm"
+        wide.write_bytes(b"P5\n13 9\n65535\n" + (image.astype(">u2") * 257).tobytes())
+        np.testing.assert_array_equal(read_pgm(wide), read_pgm(tmp_path / "eight.pgm"))
+        np.testing.assert_array_equal(read_pgm(wide), image)
+
+    def test_sixteen_bit_sample_above_maxval_and_truncation(self, tmp_path):
+        path = tmp_path / "w.pgm"
+        path.write_bytes(b"P5\n2 1\n1000\n" + np.array([5, 1001], dtype=">u2").tobytes())
+        with pytest.raises(ValueError, match="sample 1001 above maxval 1000"):
+            read_pgm(path)
+        path.write_bytes(b"P5\n2 1\n1000\n" + bytes(3))
+        with pytest.raises(ValueError, match="truncated"):
+            read_pgm(path)
 
     def test_rejects_sample_above_maxval(self, tmp_path):
         path = tmp_path / "e2.pgm"

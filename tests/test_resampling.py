@@ -60,6 +60,26 @@ class TestCdfConventions:
         w = np.full(7, 0.1)  # cumsum would end at 0.7000000000000001
         assert _cdf(w)[-1] == 1.0
 
+    @pytest.mark.parametrize("draw", [multinomial_draw, stratified_draw, systematic_draw, residual_draw])
+    def test_draw_of_one_skips_a_zero_weight_tail(self, draw):
+        class TopOfCdf:
+            """Every uniform is 0.0, so each scheme's last draw is u = 1."""
+
+            def random(self, size=None):
+                return 0.0 if size is None else np.zeros(size)
+
+        w = np.array([0.1, 0.3, 0.0])
+        assert np.cumsum(w / w.sum())[1] < 1.0  # the last positive step rounds below 1
+        assert 2 not in draw(w, TopOfCdf()).tolist()
+
+    def test_top_of_cdf_is_one_from_the_last_positive_weight_on(self):
+        rng = np.random.default_rng(0)
+        for _ in range(2000):
+            w = np.concatenate([rng.random(rng.integers(1, 6)), np.zeros(rng.integers(1, 4))])
+            cdf = _cdf(w)
+            last = np.flatnonzero(w)[-1]
+            assert np.all(cdf[last:] == 1.0) and inverse_cdf_lookup(cdf, np.array([1.0])) == [last]
+
     @pytest.mark.parametrize("bad", [[], [-1.0, 2.0], [np.nan, 1.0], [np.inf, 1.0], [0.0, 0.0]])
     def test_degenerate_weights_rejected(self, bad):
         with pytest.raises(DegenerateWeights):
