@@ -21,6 +21,10 @@ count for neither side) and a verdict:
   differ by more than the parent's interquartile range;
 - ``worse``: the change's median is worse than the parent's by more than the
   metric's bound;
+- ``unresolved``: neither, but the parent's interquartile range, relative to
+  its median, exceeds the bound, so the runs spread too widely to call the
+  metric unchanged; unless every change run reads better than every parent
+  run;
 - ``-`` otherwise.
 
 A pair whose ``mean_error_px`` differs between the sides, or a run with a
@@ -70,10 +74,14 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> tuple[l
         (o1, om, o3), (n1, nm, n3) = quartiles(old), quartiles(new)
         wins = sum((n > o) if higher else (n < o) for o, n in zip(old, new))
         worse_by = (om - nm if higher else nm - om) / abs(om) if om else 0.0
+        spread = (o3 - o1) / abs(om) if om else 0.0
+        all_better = min(new) > max(old) if higher else max(new) < min(old)
         if 10 * wins >= 9 * len(pairs) and abs(nm - om) > o3 - o1:
             verdict = "gain"
         elif worse_by > metric["bound"]:
             verdict = "worse"
+        elif spread > metric["bound"] and not all_better:
+            verdict = "unresolved"
         else:
             verdict = "-"
         lines.append(

@@ -126,6 +126,15 @@ class Partition:
         return frozenset(k for s in self.steps[:j] for k in s)
 
 
+def _ancestors(spec: DbnSpec, k: int):
+    """Parts strictly above part k in the within-slice forest, nearest
+    first; the links must form a forest (``validate_structure``)."""
+    node = spec.parents[k - 1]
+    while node is not None:
+        yield node
+        node = spec.parents[node - 1]
+
+
 @lru_cache(maxsize=None)
 def compute_partition(spec: DbnSpec) -> Partition:
     """Group parts into the minimal sequence of steps such that every part's
@@ -136,24 +145,9 @@ def compute_partition(spec: DbnSpec) -> Partition:
     together downstream.
     """
     validate_structure(spec)
-    placed: set[int] = set()
-    steps: list[tuple[int, ...]] = []
-    remaining = set(spec.part_ids)
-    while remaining:
-        step = tuple(
-            sorted(
-                k
-                for k in remaining
-                if spec.parents[k - 1] is None or spec.parents[k - 1] in placed
-            )
-        )
-        if not step:
-            # unreachable once validate_structure passed
-            raise CycleDetected("no placeable part left")
-        steps.append(step)
-        placed.update(step)
-        remaining.difference_update(step)
-    return Partition(tuple(steps))
+    depths = [len(tuple(_ancestors(spec, k))) for k in spec.part_ids]
+    steps = [[k for k in spec.part_ids if depths[k - 1] == d] for d in range(max(depths) + 1)]
+    return Partition(tuple(map(tuple, steps)))
 
 
 def descendants_within_slice(spec: DbnSpec, k: int) -> frozenset[int]:
@@ -161,15 +155,4 @@ def descendants_within_slice(spec: DbnSpec, k: int) -> frozenset[int]:
     validate_structure(spec)
     if not 1 <= k <= spec.part_count:
         raise BadIndex(f"part id out of range: {k}")
-    children: dict[int, list[int]] = {i: [] for i in spec.part_ids}
-    for c in spec.part_ids:
-        parent = spec.parents[c - 1]
-        if parent is not None:
-            children[parent].append(c)
-    out: set[int] = set()
-    stack = list(children[k])
-    while stack:
-        node = stack.pop()
-        out.add(node)
-        stack.extend(children[node])
-    return frozenset(out)
+    return frozenset(c for c in spec.part_ids if k in _ancestors(spec, c))

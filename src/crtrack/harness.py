@@ -10,6 +10,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 from typing import get_type_hints
 
@@ -191,10 +192,11 @@ def load_truth(path) -> np.ndarray:
 
 
 def load_frames(frames_dir, size: tuple[int, int] | None = None) -> list[np.ndarray]:
-    """Every .pgm frame under ``frames_dir`` in name order; an unreadable or
+    """Every .pgm frame under ``frames_dir`` in numeric order (a shorter
+    name first, so frame_10000 follows frame_9999); an unreadable or
     malformed frame, or one whose (width, height) is not ``size`` when given,
     is a ConfigError naming the file."""
-    paths = sorted(Path(frames_dir).glob("*.pgm"))
+    paths = sorted(Path(frames_dir).glob("*.pgm"), key=lambda path: (len(path.name), path.name))
     if not paths:
         raise ConfigError(f"no .pgm frames under {frames_dir}")
     frames = []
@@ -458,7 +460,7 @@ def emit_convergence_plot(report: BenchmarkReport, path) -> None:
             f'y2="{ly}" stroke="{color}" stroke-width="2"/>'
         )
         parts.append(
-            f'<text x="{width - right + 34}" y="{ly + 4}" font-size="11">{label}</text>'
+            f'<text x="{width - right + 34}" y="{ly + 4}" font-size="11">{escape(label, quote=False)}</text>'
         )
     parts.append("</svg>")
     Path(path).write_text("\n".join(parts) + "\n")

@@ -180,8 +180,11 @@ def weighted_resample(pset: ParticleSet, g, rng: np.random.Generator) -> Particl
 
 def _row_labels(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Label the rows of ``rows`` (N, ...) by bit-exact equality, in
-    first-occurrence order; also return the lowest index of every label."""
+    first-occurrence order; also return the lowest index of every label.
+    Rows of no values are all alike: one label, whose lowest index is 0."""
     flat = np.ascontiguousarray(rows).reshape(len(rows), -1)
+    if flat.shape[1] == 0:
+        return np.zeros(len(rows), dtype=np.intp), np.zeros(1, dtype=np.intp)
     keys = flat.view(np.dtype((np.void, flat.dtype.itemsize * flat.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     return np.argsort(np.argsort(first))[inverse.ravel()], np.sort(first)
@@ -246,15 +249,16 @@ def group_compatibility(pset: ParticleSet, dbn: DbnSpec, stage: int) -> Compatib
     everything, and parts without a parent pool over the whole set.
     """
     parts, prev_cols, _ = _stage_columns(dbn, stage)
-    # rows that are all alike (nothing processed, no parent) form one class
-    alike = np.zeros(pset.n)
-    labels, reps = _row_labels(pset.states[:, prev_cols] if prev_cols.size else alike)
+    labels, reps = _row_labels(pset.states[:, prev_cols])
 
     # donor-pool labels, sizes and order, built once per parent that the
-    # stage's parts share
+    # stage's parts share.  A parent is processed before its children, so each
+    # group lies in one pool and the representatives' parent values label it;
+    # the first particle with a parent value is a representative, so the
+    # pools keep first-occurrence order.
     tables = {}
     for p in {dbn.parent_of(k) for k in parts}:
-        plabels = _row_labels(alike if p is None else pset.states[:, p - 1])[0]
+        plabels = _row_labels(pset.states[reps][:, [] if p is None else [p - 1]])[0][labels]
         tables[p] = (plabels, np.bincount(plabels), np.argsort(plabels, kind="stable"))
     pools = {}
     for k in parts:

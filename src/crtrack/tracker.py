@@ -39,14 +39,21 @@ from .resampling import (
 log = logging.getLogger(__name__)
 
 
-RESAMPLER_NAMES = (
-    "multinomial",
-    "stratified",
-    "systematic",
-    "residual",
-    "weighted",
-    "combinatorial",
-)
+# Each scheme as (particle set, stage, rng, config, structure) -> resampled
+# set.  The entries look their resampler up as a module global at call time,
+# so a resampler swapped in by name is the one used.
+_RESAMPLERS = {
+    "multinomial": lambda ps, stage, rng, cfg, spec: multinomial_resample(ps, rng),
+    "stratified": lambda ps, stage, rng, cfg, spec: stratified_resample(ps, rng),
+    "systematic": lambda ps, stage, rng, cfg, spec: systematic_resample(ps, rng),
+    "residual": lambda ps, stage, rng, cfg, spec: residual_resample(ps, rng),
+    "weighted": lambda ps, stage, rng, cfg, spec: weighted_resample(
+        ps, lambda w: np.exp(cfg.weighted_exponent * w), rng
+    ),
+    "combinatorial": lambda ps, stage, rng, cfg, spec: combinatorial_resample(ps, spec, stage, rng),
+}
+
+RESAMPLER_NAMES = tuple(_RESAMPLERS)
 
 # rng stream tags; every stream is keyed (seed, frame, tag, ...) so that the
 # processing order of parts inside a stage cannot change any draw
@@ -150,28 +157,6 @@ def correct_part(
     return part_factors(frame, corners, refs[[k - 1 for k in parts], None], cfg.lam).T
 
 
-def _make_resampler(cfg: TrackerConfig, spec: DbnSpec):
-    # built per ps_step call, so a resampler swapped in by name is the one used
-    if cfg.resampler == "weighted":
-        exponent = cfg.weighted_exponent
-        return lambda ps, stage, rng: weighted_resample(ps, lambda w: np.exp(exponent * w), rng)
-    if cfg.resampler == "combinatorial":
-        return lambda ps, stage, rng: combinatorial_resample(ps, spec, stage, rng)
-    classical = {
-        "multinomial": multinomial_resample,
-        "stratified": stratified_resample,
-        "systematic": systematic_resample,
-        "residual": residual_resample,
-    }[cfg.resampler]
-    return lambda ps, stage, rng: classical(ps, rng)
-
-
-@dataclass
-class StepStats:
-    resample_invocations: int
-    resample_seconds: float
-
-
 def ps_step(
     pset: ParticleSet,
     frame: np.ndarray,
@@ -180,8 +165,9 @@ def ps_step(
     refs: np.ndarray,
     cfg: TrackerConfig,
     frame_index: int,
-) -> tuple[ParticleSet, StepStats]:
-    """Advance the particle set by one frame.
+) -> tuple[ParticleSet, float]:
+    """Advance the particle set by one frame; also return the seconds spent
+    resampling.
 
     Per partition stage: propagate each part of the stage, score them all
     in one ``correct_part`` call and multiply their factors into the
@@ -193,7 +179,7 @@ def ps_step(
     fall back to uniform with one warning for the stage instead of aborting
     the run.
     """
-    resampler = _make_resampler(cfg, model.spec)
+    resample = _RESAMPLERS[cfg.resampler]
     spent = 0.0
     for stage, parts in enumerate(partition.steps, start=1):
         parts = tuple(sorted(parts))
@@ -216,9 +202,9 @@ def ps_step(
         pset.fresh = parts
         rng = resample_rng(cfg.seed, frame_index, stage)
         start = time.perf_counter()
-        pset = resampler(pset, stage, rng)
+        pset = resample(pset, stage, rng, cfg, model.spec)
         spent += time.perf_counter() - start
-    return pset, StepStats(partition.num_steps, spent)
+    return pset, spent
 
 
 def estimate(pset: ParticleSet) -> ObjectState:
@@ -274,13 +260,11 @@ def track_sequence(
     refs = init_references(frames[0], model, initial)
     pset = initial_particle_set(cfg.particle_count, initial)
     estimates = [np.array(initial, dtype=float, copy=True)]
-    invocations = 0
     resample_seconds = 0.0
     for t in range(1, len(frames)):
-        pset, stats = ps_step(pset, frames[t], partition, model, refs, cfg, t)
+        pset, spent = ps_step(pset, frames[t], partition, model, refs, cfg, t)
         estimates.append(estimate(pset))
-        invocations += stats.resample_invocations
-        resample_seconds += stats.resample_seconds
+        resample_seconds += spent
     stacked = np.stack(estimates)
     errors = None
     if truth is not None:
@@ -293,7 +277,7 @@ def track_sequence(
     return TrackResult(
         estimates=stacked,
         errors=errors,
-        resample_invocations=invocations,
+        resample_invocations=partition.num_steps * (len(frames) - 1),
         resample_seconds=resample_seconds,
         total_seconds=time.perf_counter() - start,
     )

@@ -58,6 +58,23 @@ def test_eight_wins_in_ten_is_no_gain_and_a_worse_median_beyond_its_bound_shows(
     assert row(lines[1:], "peak_rss_mb").endswith("wins 0/10  worse")
 
 
+def test_a_parent_spread_beyond_the_bound_is_unresolved_unless_every_run_is_better():
+    # parent frames_per_s: median 8, quartiles 6.25 and 9.75, a spread of
+    # 0.44 of the median against a bound of 0.25
+    parent = [5.0, 6.0, 6.0, 7.0, 8.0, 8.0, 9.0, 10.0, 10.0, 11.0]
+    # each change wins every pair, by less than the parent's spread: no gain
+    for change, verdict in (
+        ([v + 0.5 for v in parent], "wins 10/10  unresolved"),
+        ([11.25] * 10, "wins 10/10  -"),  # every change run beats every parent run
+    ):
+        lines, _ = bench_pairs.summarize(
+            pairs_of([(result_line(p, 60.0), result_line(c, 60.0)) for p, c in zip(parent, change)]),
+            END_TO_END,
+        )
+        assert row(lines[1:], "frames_per_s").endswith(verdict)
+        assert row(lines[1:], "peak_rss_mb").endswith("wins 0/10  -")
+
+
 def test_error_and_failure_mismatches_are_flagged():
     lines, flagged = bench_pairs.summarize(
         pairs_of([

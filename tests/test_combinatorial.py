@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crtrack import resampling
 from crtrack.dbn import DbnSpec, compute_partition
 from crtrack.resampling import (
     DegenerateWeights,
@@ -411,6 +412,35 @@ class TestAgainstSlowPath:
             assert groups.group_count == 1 if stage == 1 else groups.group_count > 5
             for seed in range(3):
                 assert_matches_slow_path(pset, spec, stage, seed)
+
+    @pytest.mark.parametrize("name", sorted(CROWDED_SPECS))
+    def test_pools_label_only_the_representatives(self, name, monkeypatch):
+        """One row sort over the whole set per stage; each donor pool labels
+        only the groups' representatives, and its labels are the whole set's
+        first-occurrence labels of the parent value, bit for bit."""
+        spec = CROWDED_SPECS[name]
+        pset = crowded_set(spec, 100, seed=7)
+        rows_seen = []
+        original = resampling._row_labels
+
+        def recording(rows):
+            rows_seen.append(len(rows))
+            return original(rows)
+
+        monkeypatch.setattr(resampling, "_row_labels", recording)
+        for stage in range(1, compute_partition(spec).num_steps + 1):
+            rows_seen.clear()
+            groups = group_compatibility(pset, spec, stage)
+            parents = {spec.parent_of(k) for k in groups.parts}
+            assert rows_seen == [pset.n] + [groups.group_count] * len(parents)
+            for k in groups.parts:
+                p = spec.parent_of(k)
+                first_seen = {}
+                expected = [
+                    first_seen.setdefault(b"" if p is None else row[p - 1].tobytes(), len(first_seen))
+                    for row in pset.states
+                ]
+                assert groups.pools[k][0].tolist() == expected
 
     def test_parts_without_a_parent(self):
         spec = CROWDED_SPECS["forest"]

@@ -2,6 +2,7 @@ import dataclasses
 import errno
 import json
 import math
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -181,6 +182,12 @@ class TestGenerateAndLoad:
         out = generate_sequence(tiny_spec(frame_count=1), tmp_path / "one")
         assert len(load_frames(out)) == 1
         assert load_truth(out / "truth.csv").shape[0] == 1
+
+    def test_frames_load_in_numeric_order(self, tmp_path):
+        order = [999, 1000, 1001, 9999, 10000, 10001]
+        for t in (10000, 999, 10001, 1001, 9999, 1000):
+            write_pgm(tmp_path / f"frame_{t:04d}.pgm", np.full((1, 1), t % 256, dtype=np.uint8))
+        assert [int(f[0, 0]) for f in load_frames(tmp_path)] == [t % 256 for t in order]
 
     def test_missing_inputs_raise_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -463,6 +470,17 @@ class TestPlot:
         assert "obj/combinatorial" in text
         assert "second/systematic" in text
         assert text.count("<polyline") == 4
+
+    def test_object_names_are_escaped(self, tmp_path):
+        rows = [
+            dataclasses.replace(r, object_name=name)
+            for name in ("a<b", "c&d")
+            for r in fake_report().rows
+        ]
+        path = tmp_path / "plot.svg"
+        emit_convergence_plot(BenchmarkReport(rows), path)
+        texts = {t.text for t in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")}
+        assert {"a<b/combinatorial", "c&d/systematic"} <= texts
 
 
 class TestCli:

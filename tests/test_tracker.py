@@ -189,6 +189,21 @@ def capture_resampler_inputs(monkeypatch, name="systematic"):
     return seen
 
 
+def count_resampler_calls(monkeypatch):
+    """Wrap the systematic and combinatorial resamplers by name, as the
+    benchmark tracer swaps them, and count their calls."""
+    calls = {"systematic": 0, "combinatorial": 0}
+    for name in calls:
+        original = getattr(tracker, f"{name}_resample")
+
+        def counting(*args, name=name, original=original):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(tracker, f"{name}_resample", counting)
+    return calls
+
+
 class TestCorrect:
     """Scoring and the per-stage weight update inside ``ps_step``."""
 
@@ -329,13 +344,17 @@ class TestPsStep:
         pset = initial_particle_set(8, pose)
         return ps_step(pset, frame, partition, model, refs, cfg, 1)
 
-    def test_parallel_invocations_equal_level_count(self):
-        _, stats = self.run_step("systematic", "parallel")
-        assert stats.resample_invocations == 3
+    def test_parallel_invocations_equal_level_count(self, monkeypatch):
+        calls = count_resampler_calls(monkeypatch)
+        self.run_step("systematic", "parallel")
+        assert calls == {"systematic": 3, "combinatorial": 0}
+        self.run_step("combinatorial", "parallel")
+        assert calls == {"systematic": 3, "combinatorial": 3}
 
-    def test_singleton_invocations_equal_part_count(self):
-        _, stats = self.run_step("systematic", "singleton")
-        assert stats.resample_invocations == 5
+    def test_singleton_invocations_equal_part_count(self, monkeypatch):
+        calls = count_resampler_calls(monkeypatch)
+        self.run_step("systematic", "singleton")
+        assert calls == {"systematic": 5, "combinatorial": 0}
 
     def test_parallel_saves_resamples_on_branching_trees(self):
         spec = DbnSpec.star(2, 2)
@@ -346,10 +365,10 @@ class TestPsStep:
     @pytest.mark.parametrize("name", RESAMPLER_NAMES)
     def test_every_resampler_completes_a_frame(self, name):
         mode = "parallel"
-        pset, stats = self.run_step(name, mode)
+        pset, seconds = self.run_step(name, mode)
         assert pset.fresh == ()
         np.testing.assert_array_equal(pset.weights, 1.0 / 8.0)
-        assert stats.resample_seconds >= 0.0
+        assert seconds >= 0.0
 
     def test_step_is_deterministic(self):
         a, _ = self.run_step("combinatorial", "parallel")
@@ -425,6 +444,17 @@ class TestTrackSequence:
         assert result.mean_error is None
         assert result.resample_invocations == 3 * 4
         assert result.total_seconds >= result.resample_seconds >= 0.0
+
+    @pytest.mark.parametrize(
+        "name, mode",
+        [("systematic", "singleton"), ("systematic", "parallel"), ("combinatorial", "parallel")],
+    )
+    def test_invocation_total_counts_real_resampler_calls(self, monkeypatch, name, mode):
+        calls = count_resampler_calls(monkeypatch)
+        model, pose, frames = self.static_sequence(frames=4)
+        cfg = TrackerConfig(particle_count=4, resampler=name, partition_mode=mode, seed=1)
+        result = track_sequence(frames, pose, model, cfg)
+        assert result.resample_invocations == calls[name] == sum(calls.values()) > 0
 
     def test_first_estimate_is_the_initial_pose(self):
         model, pose, frames = self.static_sequence()
