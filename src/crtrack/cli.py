@@ -10,6 +10,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .harness import (
+    OBJECT_FILE,
     ConfigError,
     InsufficientData,
     SequenceSpec,
@@ -42,20 +43,26 @@ DESK_MATRIX = {"runs": 10, "particles": [25, 50, 100]}
 PAPER_MATRIX = {"runs": 30, "particles": [50, 100, 200, 400]}
 
 
-def _check_output(path) -> None:
-    """Reject an output file whose directory is missing or unwritable, or
-    which names a directory, before any work starts."""
+def _check_output(path, *inputs) -> None:
+    """Reject an output file whose directory is missing or unwritable, which
+    names a directory, or which is one of the command's ``inputs`` (None
+    for an input not given), before any work starts."""
     parent = Path(path).parent
     if not parent.is_dir() or not os.access(parent, os.W_OK):
         raise ConfigError(f"{path}: output directory {parent} is missing or not writable")
     if Path(path).is_dir():
         raise ConfigError(f"{path}: output path is a directory")
+    for source in filter(None, inputs):
+        if Path(path).exists() and Path(source).exists() and Path(path).samefile(source):
+            raise ConfigError(f"{path}: output would overwrite the input {source}")
 
 
 def _cmd_generate(args) -> int:
     given = {f.name: getattr(args, f.name) for f in fields(SequenceSpec) if hasattr(args, f.name)}
     scale = {} if args.paper_scale else DESK_SCALE
     spec = SequenceSpec(**{**scale, **given})
+    if any(Path(args.out).glob("*.pgm")):
+        raise ConfigError(f"{args.out}: already holds .pgm frames; generate into a new directory")
     with file_errors(args.out, "write"):
         out = generate_sequence(spec, args.out)
     print(f"wrote {spec.frame_count} frames ({spec.width}x{spec.height}, "
@@ -66,7 +73,9 @@ def _cmd_generate(args) -> int:
 def _cmd_track(args) -> int:
     # Every input is checked before the first frame is tracked.
     if args.out:
-        _check_output(args.out)
+        frames_dir = Path(args.frames)
+        inputs = (args.truth, args.config, frames_dir / OBJECT_FILE, *frames_dir.glob("*.pgm"))
+        _check_output(args.out, *inputs)
     spec = load_object_spec(args.frames)
     model = build_model(spec)
     overrides = load_json(args.config) if args.config else {}
@@ -108,7 +117,7 @@ def _cmd_track(args) -> int:
 def _default_bench_config(args) -> dict:
     scale = {} if args.paper_scale else DESK_SCALE
     return {
-        "seed": args.seed,
+        "seed": 0 if args.seed is None else args.seed,
         **(PAPER_MATRIX if args.paper_scale else DESK_MATRIX),
         "resamplers": list(RESAMPLER_NAMES),
         "objects": [{**scale, "name": "star-4x3"}],
@@ -116,7 +125,9 @@ def _default_bench_config(args) -> dict:
 
 
 def _cmd_bench(args) -> int:
-    _check_output(args.out)
+    if args.config and (args.paper_scale or args.seed is not None):
+        raise ConfigError("--paper-scale and --seed set the default matrix; --config sets its own")
+    _check_output(args.out, args.config)
     config = load_json(args.config) if args.config else _default_bench_config(args)
     report = run_benchmark(config)
     with file_errors(args.out, "write"):
@@ -129,7 +140,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    _check_output(args.out)
+    _check_output(args.out, getattr(args, "in"))
     report = read_results_csv(getattr(args, "in"))
     with file_errors(args.out, "write"):
         emit_convergence_plot(report, args.out)
@@ -172,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
     ben = sub.add_parser("bench", help="run a benchmark matrix")
     ben.add_argument("--config", default=None, help="JSON benchmark config")
     ben.add_argument("--out", default="results.csv")
-    ben.add_argument("--seed", type=int, default=0)
+    ben.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     ben.add_argument("--paper-scale", action="store_true")
     ben.set_defaults(func=_cmd_bench)
 

@@ -192,7 +192,7 @@ def ground_truth_step(
 
 
 def crossing_columns(corners, x0, y0, nx, ny) -> np.ndarray:
-    """Crossing columns (m, N, max ny) of N polygons with m corners each.
+    """Crossing columns (m, N, max ny) of N convex polygons of m corners.
 
     Entry (e, i, r) counts the columns c < nx[i] of block i whose centre
     x0 + c + 0.5 lies strictly left of edge e's crossing xint of the row
@@ -216,31 +216,8 @@ def crossing_columns(corners, x0, y0, nx, ny) -> np.ndarray:
 
 
 def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
-    """``polygon_masks`` and each polygon's pixel count, both from its
-    ``crossing_columns``.  Sorted, a row's columns s_0 <= ... <= s_{m-1}
-    make column c inside iff c lies in [s_{m-2}, s_{m-1}) or [s_{m-4},
-    s_{m-3}) or ..., with s_{-1} = 0 for odd m; a lower run is filled only
-    when some row of the batch has one, which no convex polygon does."""
-    s = list(crossing_columns(corners, x0, y0, nx, ny))
-    s = s if len(s) % 2 == 0 else [np.zeros_like(s[0]), *s]
-    for top in range(len(s) - 1, 0, -1):  # sorting network: a numpy sort is far slower
-        for j in range(top):
-            s[j], s[j + 1] = np.minimum(s[j], s[j + 1]), np.maximum(s[j], s[j + 1])
-    (lo, hi), *lower = [(s[j - 1], s[j]) for j in range(len(s) - 1, 0, -2)]
-    c = np.arange(int(nx.max(initial=0)), dtype=s[0].dtype)
-    mask = (c >= lo[..., None]) & (c < hi[..., None])
-    sizes = (hi - lo).sum(axis=1)
-    for lo, hi in lower:
-        if (lo < hi).any():
-            mask |= (c >= lo[..., None]) & (c < hi[..., None])
-            sizes += (hi - lo).sum(axis=1)
-    return mask, sizes
-
-
-def polygon_masks(
-    corners: np.ndarray, x0: np.ndarray, y0: np.ndarray, nx: np.ndarray, ny: np.ndarray
-) -> np.ndarray:
-    """Scanline fills of N simple polygons at once, shape (N, max ny, max nx).
+    """Scanline fills (N, max ny, max nx) of N convex polygons at once, and
+    each polygon's pixel count.
 
     Entry i covers the pixel block of size (ny[i], nx[i]) at (x0[i], y0[i])
     in its top-left corner.  A pixel belongs to a polygon iff its centre
@@ -250,14 +227,24 @@ def polygon_masks(
     consistently, so translating a polygon by whole pixels translates its
     fill.  Padded cells are never set: ``crossing_columns`` gives their rows
     no crossing and clips every crossing to the block's width.
+
+    The polygons must be convex, as every placed part is: a row then crosses
+    two edges or none, so its inside columns are [lo, hi) between its two
+    largest ``crossing_columns``.  A concave polygon loses its lower runs.
     """
-    return polygon_fills(corners, x0, y0, nx, ny)[0]
+    s0, s1, *rest = crossing_columns(corners, x0, y0, nx, ny)
+    lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
+    for t in rest:
+        lo, hi = np.maximum(lo, np.minimum(hi, t)), np.maximum(hi, t)
+    c = np.arange(int(nx.max(initial=0)), dtype=lo.dtype)
+    mask = (c >= lo[..., None]) & (c < hi[..., None])
+    return mask, (hi - lo).sum(axis=1)
 
 
 def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
     """Fill (ny, nx) of one polygon over the block at (x0, y0):
-    ``polygon_masks`` for one polygon."""
-    return polygon_masks(corners[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0]
+    ``polygon_fills`` for one polygon."""
+    return polygon_fills(corners[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0][0]
 
 
 def polygon_bboxes(corners: np.ndarray, width: int, height: int):
@@ -298,7 +285,7 @@ def render_frame(model: ArticulatedModel, state: ObjectState, width: int, height
     p = model.part_count
     corners = object_corners(model, state)
     x0, y0, nx, ny = polygon_bboxes(corners, width, height)
-    masks = polygon_masks(corners, x0, y0, nx, ny)
+    masks, _ = polygon_fills(corners, x0, y0, nx, ny)
     for i in range(p):
         block = img[y0[i] : y0[i] + ny[i], x0[i] : x0[i] + nx[i]]
         block[masks[i, : ny[i], : nx[i]]] = part_intensity(i + 1, p)

@@ -307,6 +307,9 @@ def run_benchmark(config: dict) -> BenchmarkReport:
     cell indices, so the error table is a pure function of the config.
     """
     try:
+        for key in ("objects", "resamplers", "particles"):
+            if not isinstance(config[key], list):
+                raise ConfigError(f"{key} must be a list, not {config[key]!r}")
         objects = [SequenceSpec(**obj) for obj in config["objects"]]
         resamplers = list(config["resamplers"])
         particles = [_integer(n, "particles") for n in config["particles"]]

@@ -31,7 +31,7 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     (N, 4, 2).
 
     Bin i collects intensities [32 i, 32 i + 31] of the pixels whose centres
-    fall inside (the ``polygon_masks`` rule).  All regions are rasterized
+    fall inside (the ``polygon_fills`` rule).  All regions are rasterized
     over one window sized to the largest clipped bounding box (split over
     particles beyond ``WINDOW_CELLS``), and all counts come from one
     ``np.bincount`` over ``particle * 8 + bin``.

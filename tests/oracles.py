@@ -62,8 +62,9 @@ def polygon_mask(corners, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
     shape (ny, nx): even-odd crossings with half-open edge spans
     (y1 <= yc < y2) and a strict x comparison at the pixel centres.
 
-    This is the scalar rasterizer the batched ``polygon_masks`` reproduces,
-    float expression for float expression.  ``brute_force_mask`` computes
+    This is the scalar rasterizer the batched ``polygon_fills`` reproduces,
+    float expression for float expression, for convex polygons; it fills
+    concave and self-intersecting ones too.  ``brute_force_mask`` computes
     each crossing in another order, which can round a centre lying exactly
     on an edge to the other side (a diagonal edge traversed both ways, as in
     a degenerate quad, shows it), so the bit-for-bit checks use this one.

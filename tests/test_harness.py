@@ -858,3 +858,65 @@ class TestTrackRejectsBadInput:
         assert main(["bench", "--config", str(path), "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "name", ["truth.csv", "object.json", "frame_0002.pgm", "tracker.json"]
+    )
+    def test_track_output_is_one_of_its_inputs(self, seq, capsys, name):
+        (seq / "tracker.json").write_text("{}")
+        before = (seq / name).read_bytes()
+        argv = ["--config", str(seq / "tracker.json"), "--out", str(seq / name)]
+        assert self.track(seq, *argv) == 2
+        assert "output would overwrite the input" in capsys.readouterr().err
+        assert (seq / name).read_bytes() == before
+
+    def test_bench_output_is_its_config(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(tiny_config()))
+        before = path.read_text()
+        assert main(["bench", "--config", str(path), "--out", str(path)]) == 2
+        assert "bench.json: output would overwrite the input" in capsys.readouterr().err
+        assert path.read_text() == before
+
+    def test_plot_output_is_its_input(self, tmp_path, capsys):
+        path = tmp_path / "results.csv"
+        write_results_csv(fake_report(), path)
+        before = path.read_text()
+        assert main(["plot", "--in", str(path), "--out", str(path)]) == 2
+        assert "results.csv: output would overwrite the input" in capsys.readouterr().err
+        assert path.read_text() == before
+
+    @pytest.mark.parametrize("flags", [["--paper-scale"], ["--seed", "3"]], ids=["paper-scale", "seed"])
+    def test_bench_config_with_a_default_matrix_flag(self, tmp_path, capsys, monkeypatch, flags):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(tiny_config()))
+        out = tmp_path / "r.csv"
+        assert main(["bench", "--config", str(path), "--out", str(out), *flags]) == 2
+        assert "--config sets its own" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("objects", dataclasses.asdict(tiny_spec())), ("resamplers", "systematic"), ("particles", "50")],
+        ids=["objects", "resamplers", "particles"],
+    )
+    def test_bench_list_field_given_as_a_scalar(self, tmp_path, capsys, monkeypatch, key, value):
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(tiny_config(**{key: value})))
+        assert main(["bench", "--config", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"error: {key} must be a list" in capsys.readouterr().err
+
+    def test_generate_into_a_directory_with_frames(self, tmp_path, capsys, monkeypatch):
+        seq = tmp_path / "seq"
+        assert main(["generate", "--out", str(seq), "--frames", "4", "--width", "32", "--height", "24"]) == 0
+        monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
+        assert main(["generate", "--out", str(seq), "--frames", "2"]) == 2
+        assert "seq: already holds .pgm frames" in capsys.readouterr().err
+        assert len(list(seq.glob("*.pgm"))) == 4
+        assert json.loads((seq / "object.json").read_text())["frame_count"] == 4
