@@ -112,6 +112,14 @@ def parse_args(argv):
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
+    if not 0 < args.seconds <= 600:
+        parser.error("--seconds must lie in (0, 600]")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    known = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    for workload in args.workload:
+        if workload not in known:
+            parser.error(f"unknown workload {workload!r}; BENCHMARK.json has {', '.join(known)}")
     for checkout in (args.parent, args.change):
         if not (checkout / "benchmark" / "run.py").is_file():
             parser.error(f"{checkout}: no benchmark/run.py")

@@ -76,6 +76,9 @@ def _cmd_track(args) -> int:
         frames_dir = Path(args.frames)
         inputs = (args.truth, args.config, frames_dir / OBJECT_FILE, *frames_dir.glob("*.pgm"))
         _check_output(args.out, *inputs)
+        out = Path(args.out)
+        if out.suffix == ".pgm" and frames_dir.is_dir() and out.parent.samefile(frames_dir):
+            raise ConfigError(f"{args.out}: a .pgm file in {args.frames} would be read as a frame")
     spec = load_object_spec(args.frames)
     model = build_model(spec)
     overrides = load_json(args.config) if args.config else {}

@@ -205,19 +205,41 @@ def crossing_columns(corners, x0, y0, nx, ny) -> np.ndarray:
     """
     yc = y0[:, None] + np.arange(int(ny.max(initial=0))) + 0.5
     x1, y1 = corners[:, :, 0].T[..., None], corners[:, :, 1].T[..., None]
-    x2, y2 = np.roll(x1, -1, axis=0), np.roll(y1, -1, axis=0)
+    x2, y2 = np.concatenate((x1[1:], x1[:1])), np.concatenate((y1[1:], y1[:1]))
     hi = np.minimum(np.maximum(y1, y2), (y0 + ny)[:, None])
-    spans = (np.minimum(y1, y2) <= yc) & (yc < hi)
+    spans = np.minimum(y1, y2) <= yc
+    spans &= yc < hi
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        xint = x1 + (yc - y1) / (y2 - y1) * (x2 - x1)
-        cols = np.minimum(np.fmax(np.ceil(xint - 0.5) - x0[:, None], 0), nx[:, None])
+        # xint = x1 + (yc - y1) / (y2 - y1) * (x2 - x1), then the count
+        cols = np.subtract(yc, y1)
+        cols /= y2 - y1
+        cols *= x2 - x1
+        cols += x1
+        cols -= 0.5
+        np.ceil(cols, out=cols)
+        cols -= x0[:, None]
+        np.fmax(cols, 0, out=cols)
+        np.minimum(cols, nx[:, None], out=cols)
     cols *= spans
     return cols.astype(np.min_scalar_type(-int(nx.max(initial=0)) - 1))
 
 
+def polygon_runs(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
+    """Runs (lo, hi), each (N, max ny): row r of polygon i fills the block
+    columns [lo[i, r], hi[i, r]) under the ``polygon_fills`` rule; padded
+    rows are empty.  The polygons must be convex, as every placed part is: a
+    row then crosses two edges or none, so its run lies between its two
+    largest ``crossing_columns``.  A concave polygon loses its lower runs."""
+    s0, s1, *rest = crossing_columns(corners, x0, y0, nx, ny)
+    lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
+    for t in rest:
+        lo, hi = np.maximum(lo, np.minimum(hi, t)), np.maximum(hi, t)
+    return lo, hi
+
+
 def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
     """Scanline fills (N, max ny, max nx) of N convex polygons at once, and
-    each polygon's pixel count.
+    each polygon's pixel count, from their ``polygon_runs``.
 
     Entry i covers the pixel block of size (ny[i], nx[i]) at (x0[i], y0[i])
     in its top-left corner.  A pixel belongs to a polygon iff its centre
@@ -227,15 +249,8 @@ def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
     consistently, so translating a polygon by whole pixels translates its
     fill.  Padded cells are never set: ``crossing_columns`` gives their rows
     no crossing and clips every crossing to the block's width.
-
-    The polygons must be convex, as every placed part is: a row then crosses
-    two edges or none, so its inside columns are [lo, hi) between its two
-    largest ``crossing_columns``.  A concave polygon loses its lower runs.
     """
-    s0, s1, *rest = crossing_columns(corners, x0, y0, nx, ny)
-    lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
-    for t in rest:
-        lo, hi = np.maximum(lo, np.minimum(hi, t)), np.maximum(hi, t)
+    lo, hi = polygon_runs(corners, x0, y0, nx, ny)
     c = np.arange(int(nx.max(initial=0)), dtype=lo.dtype)
     mask = (c >= lo[..., None]) & (c < hi[..., None])
     return mask, (hi - lo).sum(axis=1)
@@ -254,7 +269,7 @@ def polygon_bboxes(corners: np.ndarray, width: int, height: int):
     lo = np.floor(corners.min(axis=1) - 0.5)
     hi = np.ceil(corners.max(axis=1) + 0.5)
     size = np.array([width, height])
-    start = np.clip(lo, 0, size)
+    start = np.minimum(np.maximum(lo, 0), size)
     stop = np.minimum(hi, size - 1)
     extent = np.maximum(0, stop - start + 1)
     x0, y0 = start.astype(np.intp).T

@@ -6,23 +6,22 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import (
     ArticulatedModel,
     ObjectState,
     object_corners,
     polygon_bboxes,
-    polygon_fills,
     polygon_mask,
+    polygon_runs,
 )
 
 log = logging.getLogger(__name__)
 
 BIN_COUNT = 8
 
-# Most cells (particles x window rows x window columns) rasterized in one
-# pass; larger batches are split over particles to bound memory.
+# Most cells (particles x box rows x box columns) counted in one pass;
+# larger batches are split over particles to bound memory.
 WINDOW_CELLS = 1 << 18
 
 
@@ -31,29 +30,29 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     (N, 4, 2).
 
     Bin i collects intensities [32 i, 32 i + 31] of the pixels whose centres
-    fall inside (the ``polygon_fills`` rule).  All regions are rasterized
-    over one window sized to the largest clipped bounding box (split over
-    particles beyond ``WINDOW_CELLS``), and all counts come from one
-    ``np.bincount`` over ``particle * 8 + bin``.
+    fall inside (the ``polygon_fills`` rule).  Each region's rows are its
+    ``polygon_runs``; only the pixels of those runs are gathered from the
+    flattened binned frame, and all counts come from one ``np.bincount``
+    over ``particle * 8 + bin``.  Batches are split over particles so that
+    particles x largest-box cells stay within ``WINDOW_CELLS``.
     """
     height, width = image.shape
     n = len(corners)
     x0, y0, nx, ny = polygon_bboxes(corners, width, height)
+    bins = (image >> 5).ravel()
     counts = np.zeros((n, BIN_COUNT), dtype=np.int64)
-    wy, wx = int(ny.max(initial=0)), int(nx.max(initial=0))
-    # windows[i] is the (wy, wx) block at (x0[i], y0[i]); the zero padding
-    # keeps blocks at the far edges in bounds and is always masked out
-    padded = np.zeros((height + wy, width + wx), dtype=image.dtype)
-    padded[:height, :width] = image
-    windows = sliding_window_view(padded, (wy, wx))
-    step = max(1, WINDOW_CELLS // max(1, wy * wx))
-    for lo in range(0, n, step):
-        batch = slice(lo, lo + step)
-        mask, sizes = polygon_fills(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
-        values = windows[y0[batch], x0[batch], : mask.shape[1], : mask.shape[2]][mask] >> 5
-        keys = np.repeat(np.arange(len(mask)) * BIN_COUNT, sizes)
-        keys += values
-        counts[batch] = np.bincount(keys, minlength=len(mask) * BIN_COUNT).reshape(-1, BIN_COUNT)
+    step = max(1, WINDOW_CELLS // max(1, int(ny.max(initial=0)) * int(nx.max(initial=0))))
+    for start in range(0, n, step):
+        batch = slice(start, start + step)
+        lo, hi = polygon_runs(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
+        # run (i, r) starts at pixel (y0 + r) * width + x0 + lo of the frame
+        first = (y0[batch, None] + np.arange(lo.shape[1])) * width + x0[batch, None] + lo
+        lengths = (hi - lo).ravel()
+        ends = np.cumsum(lengths)
+        sizes = (hi - lo).sum(axis=1)
+        pixels = np.repeat(first.ravel() - ends + lengths, lengths) + np.arange(sizes.sum())
+        keys = np.repeat(np.arange(len(lo)) * BIN_COUNT, sizes) + bins[pixels]
+        counts[batch] = np.bincount(keys, minlength=len(lo) * BIN_COUNT).reshape(-1, BIN_COUNT)
     return counts
 
 

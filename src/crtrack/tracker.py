@@ -255,6 +255,15 @@ def track_sequence(
     """
     if len(frames) < 1:
         raise ValueError("need at least one frame")
+    pose = (model.part_count, 3)
+    if np.shape(initial) != pose:
+        raise ValueError(f"initial pose shape {np.shape(initial)} != {pose} (parts, 3)")
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != (len(frames), *pose):
+            raise ValueError(
+                f"ground truth shape {truth.shape} != {(len(frames), *pose)} (frames, parts, 3)"
+            )
     start = time.perf_counter()
     partition = partition_for(model.spec, cfg.partition_mode)
     refs = init_references(frames[0], model, initial)
@@ -268,9 +277,6 @@ def track_sequence(
     stacked = np.stack(estimates)
     errors = None
     if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != stacked.shape:
-            raise ValueError(f"ground truth shape {truth.shape} != estimates {stacked.shape}")
         errors = np.array(
             [estimation_error(model, stacked[t], truth[t]) for t in range(len(frames))]
         )

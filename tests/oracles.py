@@ -14,10 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
+from crtrack import likelihood
 from crtrack.dbn import DbnSpec, compute_partition
-from crtrack.geometry import part_intensity
+from crtrack.geometry import part_intensity, polygon_bboxes, polygon_fills
 from crtrack.likelihood import BIN_COUNT
 from crtrack.resampling import ParticleSet, multinomial_draw
 
@@ -121,6 +123,35 @@ def region_histogram(image: np.ndarray, corners) -> Histogram8:
         if values.size:
             return Histogram8(np.bincount(values >> 5, minlength=BIN_COUNT) / values.size)
     return Histogram8(np.full(BIN_COUNT, 1.0 / BIN_COUNT), empty=True)
+
+
+def mask_region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
+    """``likelihood.region_counts`` by the mask route: every region is
+    rasterized with ``polygon_fills`` over one window sized to the largest
+    clipped bounding box (split over particles beyond the library's
+    ``WINDOW_CELLS``, read at call time), the windows are views of a
+    zero-padded copy of the frame, and the masked cells are gathered and
+    counted with one ``np.bincount``.  The library counts the same pixels
+    from their runs instead; the two must agree bit for bit."""
+    height, width = image.shape
+    n = len(corners)
+    x0, y0, nx, ny = polygon_bboxes(corners, width, height)
+    counts = np.zeros((n, BIN_COUNT), dtype=np.int64)
+    wy, wx = int(ny.max(initial=0)), int(nx.max(initial=0))
+    # windows[i] is the (wy, wx) block at (x0[i], y0[i]); the zero padding
+    # keeps blocks at the far edges in bounds and is always masked out
+    padded = np.zeros((height + wy, width + wx), dtype=image.dtype)
+    padded[:height, :width] = image
+    windows = sliding_window_view(padded, (wy, wx))
+    step = max(1, likelihood.WINDOW_CELLS // max(1, wy * wx))
+    for lo in range(0, n, step):
+        batch = slice(lo, lo + step)
+        mask, sizes = polygon_fills(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
+        values = windows[y0[batch], x0[batch], : mask.shape[1], : mask.shape[2]][mask] >> 5
+        keys = np.repeat(np.arange(len(mask)) * BIN_COUNT, sizes)
+        keys += values
+        counts[batch] = np.bincount(keys, minlength=len(mask) * BIN_COUNT).reshape(-1, BIN_COUNT)
+    return counts
 
 
 def bhattacharyya(p: Histogram8, q: Histogram8) -> float:

@@ -1,9 +1,12 @@
-"""``scripts/bench_pairs.py``'s summary of paired benchmark results, on
-canned result lines; no benchmark process starts."""
+"""``scripts/bench_pairs.py``'s argument checks and its summary of paired
+benchmark results, on canned result lines; no benchmark process starts."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "scripts" / "bench_pairs.py")
@@ -103,7 +106,10 @@ def test_several_workloads_get_one_summary_each_and_any_flag_fails(tmp_path, mon
         error = 26.3913 if (checkout.name, workload) == ("change", "paper-comb-n400") else 26.3912
         return json.loads(result_line(8.0 if checkout.name == "parent" else 9.0, 60.0, error=error))
 
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": END_TO_END}))
+    workloads = [{"name": name} for name in ("desk-comb", "desk-sys-singleton", "paper-comb-n400")]
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({"workloads": workloads, "end_to_end": END_TO_END})
+    )
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     monkeypatch.setattr(bench_pairs, "run_side", fake_run_side)
     argv = [str(tmp_path / "parent"), str(tmp_path / "change"), "--seed", "1", "--pairs", "2",
@@ -124,3 +130,48 @@ def test_several_workloads_get_one_summary_each_and_any_flag_fails(tmp_path, mon
     assert bench_pairs.main(argv + ["paper-comb-n400", "desk-comb"]) == 1
     out = capsys.readouterr().out
     assert out.index("workload paper-comb-n400") < out.index("FLAG pair 0") < out.index("workload desk-comb")
+
+
+class TestArgumentsAreCheckedBeforeAnyRun:
+    """A bad argument exits 2 before the first benchmark process starts,
+    also when it names the second of several workloads."""
+
+    @pytest.fixture
+    def argv(self, tmp_path, monkeypatch):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a benchmark run started")
+
+        monkeypatch.setattr(subprocess, "run", no_run)
+        for side in ("parent", "change"):
+            (tmp_path / side / "benchmark").mkdir(parents=True)
+            (tmp_path / side / "benchmark" / "run.py").write_text("")
+        return [str(tmp_path / "parent"), str(tmp_path / "change"), "--pairs", "10"]
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--workload", "desk-comb", "desk-com", "--seed", "5", "--seconds", "30"],
+             "unknown workload 'desk-com'"),
+            (["--workload", "desk-comb", "--seed", "5", "--seconds", "0"],
+             "--seconds must lie in (0, 600]"),
+            (["--workload", "desk-comb", "--seed", "5", "--seconds", "601"],
+             "--seconds must lie in (0, 600]"),
+            (["--workload", "desk-comb", "--seed", "5", "--seconds", "nan"],
+             "--seconds must lie in (0, 600]"),
+            (["--workload", "desk-comb", "--seed", "-1", "--seconds", "30"],
+             "--seed must be >= 0"),
+        ],
+        ids=["misspelt-second-workload", "zero-seconds", "seconds-past-600", "nan-seconds",
+             "negative-seed"],
+    )
+    def test_rejected(self, argv, capsys, flags, message):
+        with pytest.raises(SystemExit) as exit_info:
+            bench_pairs.main(argv + flags)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_every_workload_of_the_benchmark_is_accepted(self, argv):
+        names = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+        flags = ["--seed", "0", "--seconds", "600", "--workload", *names]
+        args = bench_pairs.parse_args(argv + flags)
+        assert args.workload == names

@@ -18,6 +18,7 @@ from crtrack.geometry import (
     place_polygons,
     polygon_bboxes,
     polygon_fills,
+    polygon_runs,
     render_frame,
     tip_point,
     wrap_angle,
@@ -377,6 +378,25 @@ class TestBatchedGeometry:
             expected = np.zeros(masks.shape[1:], dtype=bool)
             expected[:bny, :bnx] = polygon_mask(c, bx, by, bnx, bny)
             np.testing.assert_array_equal(masks[i], expected)
+
+    @given(st.lists(convex_quads, min_size=1, max_size=8), st.integers(1, 24), st.integers(1, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_runs_bound_each_row_of_the_scalar_fill(self, polys, width, height):
+        corners = np.stack(polys)
+        x0, y0, nx, ny = polygon_bboxes(corners, width, height)
+        lo, hi = polygon_runs(corners, x0, y0, nx, ny)
+        assert lo.shape == hi.shape == (len(corners), ny.max())
+        for i, c in enumerate(corners):
+            mask = polygon_mask(c, x0[i], y0[i], nx[i], ny[i])
+            for r in range(lo.shape[1]):
+                inside = np.flatnonzero(mask[r]) if r < ny[i] else []
+                if len(inside):
+                    # the first inside column and the one past the last, with
+                    # every column between them inside
+                    assert (lo[i, r], hi[i, r]) == (inside[0], inside[-1] + 1)
+                    assert hi[i, r] - lo[i, r] == len(inside)
+                else:
+                    assert lo[i, r] == hi[i, r]
 
     def test_blocks_wider_than_int16_fill_exactly(self):
         # a 2 x 40,000 canvas: the quad's block spans more than 32,767 columns

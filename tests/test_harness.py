@@ -870,6 +870,14 @@ class TestTrackRejectsBadInput:
         assert "output would overwrite the input" in capsys.readouterr().err
         assert (seq / name).read_bytes() == before
 
+    @pytest.mark.parametrize("out", ["est.pgm", "frame_0006.pgm", "../seq/est.pgm"])
+    def test_track_output_is_a_new_frame_of_its_frames_directory(self, seq, capsys, out):
+        # a .pgm written there would be read as a frame by every later track
+        assert self.track(seq, "--out", str(seq / out)) == 2
+        assert "would be read as a frame" in capsys.readouterr().err
+        frames = [f"frame_{t:04d}.pgm" for t in range(1, 6)]
+        assert sorted(p.name for p in seq.glob("*.pgm")) == frames
+
     def test_bench_output_is_its_config(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
         monkeypatch.setattr("crtrack.harness.track_sequence", self.no_tracking)

@@ -18,13 +18,21 @@ from crtrack.geometry import (
 from crtrack import likelihood
 from crtrack.likelihood import (
     BIN_COUNT,
+    WINDOW_CELLS,
     init_references,
     part_factors,
     region_counts,
     region_histograms,
 )
 
-from oracles import Histogram8, brute_force_mask, part_factor, place_polygon, region_histogram
+from oracles import (
+    Histogram8,
+    brute_force_mask,
+    mask_region_counts,
+    part_factor,
+    place_polygon,
+    region_histogram,
+)
 
 UNIFORM = np.full(BIN_COUNT, 1.0 / BIN_COUNT)
 
@@ -304,6 +312,67 @@ class TestBatchedKernel:
         monkeypatch.setattr("crtrack.likelihood.WINDOW_CELLS", 1)
         np.testing.assert_array_equal(region_histograms(image, corners), whole)
 
+
+@st.composite
+def counted_batches(draw):
+    """A random frame and rectangles of mixed sizes: anywhere on or near the
+    canvas, flush with its bottom and right edges (their blocks end on the
+    last row and column, so a taller block in the batch pads their rows
+    past the frame), wholly off it, of zero area (a point or a segment), and
+    on the quarter-pixel grid at right angles."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 32))
+    image = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).integers(
+        0, 256, size=(height, width), dtype=np.uint8
+    )
+
+    def quarters(lo, hi):
+        return st.integers(4 * lo, 4 * hi).map(lambda v: v / 4.0)
+
+    half = st.one_of(quarters(0, 10), st.floats(0.0, 10.0))
+    theta = st.one_of(
+        st.sampled_from(RIGHT_ANGLES), st.floats(-math.pi, math.pi, exclude_min=True)
+    )
+    anywhere = st.builds(
+        rect_corners, st.floats(-12, width + 12), st.floats(-12, height + 12), half, half, theta
+    )
+    flush = st.builds(
+        lambda hx, hy, dx, dy, t: rect_corners(width - hx + dx, height - hy + dy, hx, hy, t),
+        half, half, quarters(-1, 1), quarters(-1, 1), st.sampled_from((0.0, math.pi)),
+    )
+    off_canvas = st.builds(
+        rect_corners, st.sampled_from((-25.0, width + 25.0)), st.floats(-25, height + 25),
+        half, half, theta,
+    )
+    on_grid = st.builds(
+        rect_corners, quarters(-2, width + 2), quarters(-2, height + 2), quarters(0, 10),
+        quarters(0, 10), st.sampled_from(RIGHT_ANGLES),
+    )
+    placements = st.one_of(anywhere, flush, off_canvas, on_grid)
+    return image, np.stack(draw(st.lists(placements, min_size=1, max_size=16)))
+
+
+class TestRunGather:
+    """``region_counts`` gathers the pixels of each row's run; the oracle
+    ``mask_region_counts`` masks a shared window.  They agree bit for bit."""
+
+    @given(counted_batches(), st.sampled_from((1, 40, 500, WINDOW_CELLS)))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_mask_route(self, batch, window_cells):
+        image, corners = batch
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(likelihood, "WINDOW_CELLS", window_cells)
+            got, want = region_counts(image, corners), mask_region_counts(image, corners)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_short_block_in_the_far_corner_beside_a_tall_one(self):
+        # the tall box has 16 rows from row 0, the corner box 3 from row 13:
+        # its padded rows 3-15 start below the frame and gather nothing
+        image = np.random.default_rng(10).integers(0, 256, size=(16, 20), dtype=np.uint8)
+        corners = np.stack((rect_corners(4.0, 8.0, 1.5, 7.0), rect_corners(18.5, 15.0, 1.5, 1.0)))
+        got = region_counts(image, corners)
+        np.testing.assert_array_equal(got, mask_region_counts(image, corners))
+        np.testing.assert_array_equal(got.sum(axis=1), [3 * 14, 3 * 2])
 
 
 class TestOnePartForms:

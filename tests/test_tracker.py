@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -423,6 +424,34 @@ class TestTrackSequence:
         truth = np.zeros((2, model.part_count, 3))
         with pytest.raises(ValueError):
             track_sequence(frames, pose, model, TrackerConfig(particle_count=3), truth=truth)
+
+    @pytest.fixture
+    def untracked(self, monkeypatch):
+        """Fail a test whose input reaches the references or a frame."""
+
+        def fail(*args, **kwargs):
+            raise AssertionError("bad input reached the tracker")
+
+        monkeypatch.setattr(tracker, "init_references", fail)
+        monkeypatch.setattr(tracker, "ps_step", fail)
+
+    @pytest.mark.parametrize("rows", [4, 6])
+    def test_truth_of_the_wrong_length_raises_before_tracking(self, untracked, rows):
+        model, pose, frames = self.static_sequence(frames=5)
+        truth = np.stack([pose] * rows)
+        message = f"ground truth shape {(rows, 5, 3)} != {(5, 5, 3)}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            track_sequence(frames, pose, model, TrackerConfig(particle_count=3), truth=truth)
+
+    @pytest.mark.parametrize(
+        "cut, shape",
+        [(np.s_[:-1], (4, 3)), (np.s_[:, :2], (5, 2)), (np.s_[0], (3,))],
+        ids=["part-short", "column-short", "one-row"],
+    )
+    def test_initial_of_the_wrong_shape_raises_before_tracking(self, untracked, cut, shape):
+        model, pose, frames = self.static_sequence(frames=5)
+        with pytest.raises(ValueError, match=re.escape(f"initial pose shape {shape} != {(5, 3)}")):
+            track_sequence(frames, pose[cut], model, TrackerConfig(particle_count=3))
 
     @pytest.mark.parametrize("name", RESAMPLER_NAMES)
     def test_zero_noise_static_scene_gives_zero_error(self, name):
