@@ -6,7 +6,7 @@ plus a synthetic benchmark harness.
 """
 
 from .dbn import DbnSpec, Partition, compute_partition, descendants_within_slice
-from .geometry import ArticulatedModel, MotionParams, default_pose, estimation_error, render_frame
+from .geometry import ArticulatedModel, default_pose, estimation_error, render_frame
 from .harness import (
     BenchmarkReport,
     SequenceSpec,
@@ -32,7 +32,6 @@ __all__ = [
     "BenchmarkReport",
     "CompatibilityGroups",
     "DbnSpec",
-    "MotionParams",
     "Partition",
     "ParticleSet",
     "RESAMPLER_NAMES",

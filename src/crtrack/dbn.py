@@ -7,9 +7,42 @@ its own state at the previous time step.  Part ids are 1-based and dense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import numbers
+from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Mapping, Optional
+from typing import Mapping, Optional, get_type_hints
+
+
+# The field rule: what each declared kind accepts, and its name in messages.
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"), str: (str, "a string")}
+
+
+def checked(value, kind: type, name: str, error: type[Exception] = ValueError):
+    """``value`` as a Python ``kind`` (int, float or str), or ``error``
+    naming ``name``.  A bool is a number to Python, but never a count or a
+    setting here; a float must be finite."""
+    abc, noun = _KINDS[kind]
+    # the exact type passes without the slow abstract-class check
+    if type(value) is not kind and (isinstance(value, bool) or not isinstance(value, abc)):
+        raise error(f"{name} must be {noun}, not {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise error(f"{name} must be finite")
+    return kind(value)
+
+
+@lru_cache(maxsize=None)
+def _checked_fields(cls) -> tuple[tuple[str, type], ...]:
+    # get_type_hints costs about ten times the checks, so resolve once a class
+    hints = get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in fields(cls) if hints[f.name] in _KINDS)
+
+
+def check_fields(record, error: type[Exception] = ValueError) -> None:
+    """Apply ``checked`` to every int, float and str field of a frozen
+    dataclass instance, storing what it returns."""
+    for name, kind in _checked_fields(type(record)):
+        object.__setattr__(record, name, checked(getattr(record, name), kind, name, error))
 
 
 class StructureError(ValueError):
@@ -35,11 +68,21 @@ class DbnSpec:
     ``parents[k - 1]`` is the parent part id of part ``k``, or None for a
     root.  Temporal links (part k at t-1 to part k at t) are implicit and the
     observation of each part depends on that part alone, so this tuple is the
-    whole structure.
+    whole structure.  The count and parent ids are ``checked`` as the spec is
+    built (BadIndex): the partition cache matches specs by equality, and
+    ``True == 1.0 == 1``.
     """
 
     part_count: int
     parents: tuple[Optional[int], ...]
+
+    def __post_init__(self):
+        check_fields(self, BadIndex)
+        parents = tuple(
+            None if parent is None else checked(parent, int, f"parent of part {k}", BadIndex)
+            for k, parent in enumerate(self.parents, start=1)
+        )
+        object.__setattr__(self, "parents", parents)
 
     @classmethod
     def from_parent_map(
@@ -90,11 +133,7 @@ def validate_structure(spec: DbnSpec) -> None:
         raise BadIndex(f"expected {p} parent entries, got {len(spec.parents)}")
     for k in spec.part_ids:
         parent = spec.parents[k - 1]
-        if parent is None:
-            continue
-        if not isinstance(parent, int) or isinstance(parent, bool):
-            raise BadIndex(f"parent of part {k} is not an int: {parent!r}")
-        if not 1 <= parent <= p:
+        if parent is not None and not 1 <= parent <= p:
             raise BadIndex(f"parent of part {k} out of range: {parent}")
     for k in spec.part_ids:
         seen = set()

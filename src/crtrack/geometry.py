@@ -32,18 +32,6 @@ def wrap_angle(theta):
 
 
 @dataclass(frozen=True)
-class MotionParams:
-    """Per-step Gaussian sigmas: translation in pixels, rotation in radians."""
-
-    sigma_xy: float
-    sigma_theta: float
-
-    def __post_init__(self):
-        if self.sigma_xy < 0 or self.sigma_theta < 0:
-            raise ValueError("motion sigmas must be >= 0")
-
-
-@dataclass(frozen=True)
 class ArticulatedModel:
     """Link structure plus the rectangle dimensions of every part."""
 
@@ -55,8 +43,8 @@ class ArticulatedModel:
         p = self.spec.part_count
         if len(self.lengths) != p or len(self.widths) != p:
             raise ValueError("need one length and width per part")
-        if any(v <= 0 for v in self.lengths + self.widths):
-            raise ValueError("part dimensions must be positive")
+        if not all(0 < v < math.inf for v in self.lengths + self.widths):
+            raise ValueError("part dimensions must be positive and finite")
 
     @classmethod
     def uniform(cls, spec: DbnSpec, length: float, width: float) -> "ArticulatedModel":
@@ -146,15 +134,17 @@ def default_pose(model: ArticulatedModel, centre: tuple[float, float]) -> Object
 def ground_truth_step(
     model: ArticulatedModel,
     state: ObjectState,
-    params: MotionParams,
+    sigma_xy: float,
+    sigma_theta: float,
     rng: np.random.Generator,
     root_bounds: tuple[float, float, float, float] | None = None,
 ) -> ObjectState:
     """One motion step that keeps joints attached.
 
-    Roots take Gaussian steps in x, y and theta; every other part gets a
-    Gaussian perturbation of its joint angle and is re-placed so its base
-    midpoint stays on its parent's tip midpoint.  ``root_bounds``
+    Roots take Gaussian steps in x, y (``sigma_xy``, pixels) and theta
+    (``sigma_theta``, radians); every other part's joint angle gets a
+    Gaussian perturbation, and the part is re-placed so its base midpoint
+    stays on its parent's tip midpoint.  ``root_bounds``
     (xmin, xmax, ymin, ymax) clamps root centres after the step.
 
     The input must itself satisfy the joint rule (as poses built by
@@ -170,9 +160,9 @@ def ground_truth_step(
         for k in step:
             parent = spec.parent_of(k)
             if parent is None:
-                dx = rng.normal(0.0, params.sigma_xy)
-                dy = rng.normal(0.0, params.sigma_xy)
-                dt = rng.normal(0.0, params.sigma_theta)
+                dx = rng.normal(0.0, sigma_xy)
+                dy = rng.normal(0.0, sigma_xy)
+                dt = rng.normal(0.0, sigma_theta)
                 x = out[k - 1, 0] + dx
                 y = out[k - 1, 1] + dy
                 if root_bounds is not None:
@@ -181,7 +171,7 @@ def ground_truth_step(
                 out[k - 1] = (x, y, wrap_angle(out[k - 1, 2] + dt))
                 applied[k - 1] = dt
             else:
-                dt = rng.normal(0.0, params.sigma_theta)
+                dt = rng.normal(0.0, sigma_theta)
                 inc = applied[parent - 1] + dt
                 theta = wrap_angle(out[k - 1, 2] + inc)
                 tip = tip_point(model, parent, out[parent - 1])

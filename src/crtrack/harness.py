@@ -7,7 +7,6 @@ import csv
 import dataclasses
 import json
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass
 from html import escape
@@ -16,14 +15,8 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .dbn import DbnSpec
-from .geometry import (
-    ArticulatedModel,
-    MotionParams,
-    default_pose,
-    ground_truth_step,
-    render_frame,
-)
+from .dbn import DbnSpec, check_fields, checked
+from .geometry import ArticulatedModel, default_pose, ground_truth_step, render_frame
 from .pgm import read_pgm, write_pgm
 from .tracker import TrackerConfig, track_sequence
 
@@ -37,12 +30,6 @@ class ConfigError(ValueError):
 
 class InsufficientData(ValueError):
     pass
-
-
-def _integer(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an integer, not {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -68,18 +55,7 @@ class SequenceSpec:
     name: str = "object"
 
     def __post_init__(self):
-        types = get_type_hints(SequenceSpec)
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if types[f.name] is int:
-                _integer(value, f.name)
-            elif types[f.name] is float and (
-                isinstance(value, bool)
-                or not (isinstance(value, numbers.Real) and math.isfinite(value))
-            ):
-                raise ConfigError(f"{f.name} must be a finite number, not {value!r}")
-            elif types[f.name] is str and not isinstance(value, str):
-                raise ConfigError(f"{f.name} must be a string, not {value!r}")
+        check_fields(self, ConfigError)
         if self.arm_count < 0:
             raise ConfigError("arm_count must be >= 0")
         if self.arm_count > 0 and self.arm_length < 1:
@@ -107,13 +83,14 @@ def simulate_sequence(spec: SequenceSpec) -> tuple[ArticulatedModel, list[np.nda
     """In-memory frames and ground truth, deterministic in ``spec.seed``."""
     model = build_model(spec)
     pose = default_pose(model, (spec.width / 2.0, spec.height / 2.0))
-    params = MotionParams(spec.sigma_xy, spec.sigma_theta)
     rng = np.random.default_rng(spec.seed)
     margin = max(model.lengths[0], model.widths[0])
     bounds = (margin, spec.width - margin, margin, spec.height - margin)
     states = [pose]
     for _ in range(spec.frame_count - 1):
-        states.append(ground_truth_step(model, states[-1], params, rng, root_bounds=bounds))
+        states.append(
+            ground_truth_step(model, states[-1], spec.sigma_xy, spec.sigma_theta, rng, bounds)
+        )
     truth = np.stack(states)
     frames = [render_frame(model, s, spec.width, spec.height) for s in states]
     return model, frames, truth
@@ -312,9 +289,9 @@ def run_benchmark(config: dict) -> BenchmarkReport:
                 raise ConfigError(f"{key} must be a list, not {config[key]!r}")
         objects = [SequenceSpec(**obj) for obj in config["objects"]]
         resamplers = list(config["resamplers"])
-        particles = [_integer(n, "particles") for n in config["particles"]]
-        runs = _integer(config["runs"], "runs")
-        master_seed = _integer(config.get("seed", 0), "seed")
+        particles = [checked(n, int, "particles", ConfigError) for n in config["particles"]]
+        runs = checked(config["runs"], int, "runs", ConfigError)
+        master_seed = checked(config.get("seed", 0), int, "seed", ConfigError)
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"bad benchmark config: {exc}") from exc
     if not objects or not resamplers or not particles or runs < 1:

@@ -9,15 +9,12 @@ exactly as many resamples as the partition has stages.
 from __future__ import annotations
 
 import logging
-import math
-import numbers
 import time
-from dataclasses import dataclass, fields
-from typing import get_type_hints
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dbn import DbnSpec, Partition, compute_partition
+from .dbn import DbnSpec, Partition, check_fields, compute_partition
 from .geometry import ArticulatedModel, ObjectState, estimation_error, place_polygons, wrap_angle
 from .likelihood import init_references, part_factors
 
@@ -77,20 +74,7 @@ class TrackerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # booleans are numbers to Python, but never a setting here
-        types = get_type_hints(TrackerConfig)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if types[f.name] is int and (
-                isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            ):
-                raise ValueError(f"{f.name} must be an integer, not {value!r}")
-            if types[f.name] is float:
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{f.name} must be a number, not {value!r}")
-                if not math.isfinite(value):
-                    raise ValueError(f"{f.name} must be finite")
-                object.__setattr__(self, f.name, float(value))
+        check_fields(self)
         if self.particle_count < 1:
             raise ValueError("particle_count must be >= 1")
         if self.sigma_xy < 0 or self.sigma_theta < 0:

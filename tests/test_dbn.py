@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +15,8 @@ from crtrack.dbn import (
     descendants_within_slice,
     validate_structure,
 )
+from crtrack.harness import ConfigError, SequenceSpec
+from crtrack.tracker import TrackerConfig
 
 
 @st.composite
@@ -74,6 +79,23 @@ class TestStructure:
     @given(tree_specs())
     def test_lower_id_parents_always_validate(self, spec):
         validate_structure(spec)
+
+    def test_bool_part_count(self):
+        compute_partition(DbnSpec.chain(1))
+        with pytest.raises(BadIndex, match="part_count must be an integer, not True"):
+            compute_partition(DbnSpec(True, (None,)))
+
+    @pytest.mark.parametrize("parent", [True, 1.0])
+    def test_non_integer_parent(self, parent):
+        # an equal, valid spec already in the partition cache must not let it through
+        compute_partition(DbnSpec.chain(2))
+        with pytest.raises(BadIndex, match=f"parent of part 2 must be an integer, not {parent!r}"):
+            compute_partition(DbnSpec(2, (None, parent)))
+
+    def test_numpy_integer_parent(self):
+        spec = DbnSpec(2, (None, np.int64(1)))
+        validate_structure(spec)
+        assert compute_partition(spec) == compute_partition(DbnSpec(2, (None, 1)))
 
 
 class TestPartition:
@@ -159,3 +181,65 @@ class TestDescendants:
             union = frozenset().union(*blocks)
             assert sum(len(b) for b in blocks) == len(union)
             assert union == set(spec.part_ids) - partition.processed_through(j)
+
+
+# Each declared record: a build from keyword fields, the error class it
+# raises, and a valid value for each of its int, float and str fields.
+RECORDS = {
+    "TrackerConfig": (
+        lambda **kw: TrackerConfig(**{"particle_count": 5, **kw}),
+        ValueError,
+        {
+            "particle_count": 5,
+            "resampler": "systematic",
+            "sigma_xy": 1.0,
+            "sigma_theta": 0.025,
+            "lam": 50.0,
+            "weighted_exponent": 20.0,
+            "seed": 0,
+        },
+    ),
+    "SequenceSpec": (
+        SequenceSpec,
+        ConfigError,
+        {
+            "arm_count": 4,
+            "arm_length": 3,
+            "frame_count": 300,
+            "width": 800,
+            "height": 640,
+            "sigma_xy": 1.0,
+            "sigma_theta": 0.025,
+            "seed": 0,
+            "part_length": 30.0,
+            "part_width": 12.0,
+            "name": "object",
+        },
+    ),
+    "DbnSpec": (lambda part_count: DbnSpec(part_count, (None,)), BadIndex, {"part_count": 1}),
+}
+FIELDS = [
+    pytest.param(build, error, name, valid, id=f"{record}.{name}")
+    for record, (build, error, fields) in RECORDS.items()
+    for name, valid in fields.items()
+]
+
+
+class TestFieldRule:
+    @pytest.mark.parametrize("build, error, name, valid", FIELDS)
+    @pytest.mark.parametrize("bad", [True, "1", None, math.nan, math.inf, -math.inf])
+    def test_rejects(self, build, error, name, valid, bad):
+        if isinstance(valid, str) and isinstance(bad, str):
+            bad = 1  # "1" is a valid string
+        with pytest.raises(error, match=f"^{name} must be") as info:
+            build(**{name: bad})
+        assert type(info.value) is error
+
+    @pytest.mark.parametrize("build, error, name, valid", FIELDS)
+    def test_accepts_numpy_values_as_python_ones(self, build, error, name, valid):
+        kind = type(valid)
+        for make in {int: [np.int64], float: [np.float32, int], str: [np.str_]}[kind]:
+            value = make(valid)
+            stored = getattr(build(**{name: value}), name)
+            assert type(stored) is kind
+            assert stored == kind(value)

@@ -9,7 +9,6 @@ from crtrack import geometry, likelihood
 from crtrack.dbn import DbnSpec
 from crtrack.geometry import (
     ArticulatedModel,
-    MotionParams,
     default_pose,
     estimation_error,
     ground_truth_step,
@@ -88,9 +87,23 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             ArticulatedModel.uniform(DbnSpec.chain(2), 10.0, 0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_dimension(self, value):
+        star, chain = DbnSpec.star(2, 1), DbnSpec.chain(2)
+        for build in (
+            lambda: ArticulatedModel.uniform(star, value, 4.0),
+            lambda: ArticulatedModel.uniform(star, 10.0, value),
+            lambda: ArticulatedModel(chain, (10.0, value), (4.0, 4.0)),
+            lambda: ArticulatedModel(chain, (10.0, 10.0), (value, 4.0)),
+        ):
+            with pytest.raises(ValueError, match="part dimensions must be positive and finite"):
+                build()
+
     def test_negative_sigma(self):
+        model = chain_model(2)
+        state = default_pose(model, (50.0, 50.0))
         with pytest.raises(ValueError):
-            MotionParams(-1.0, 0.1)
+            ground_truth_step(model, state, -1.0, 0.1, np.random.default_rng(0))
 
 
 class TestPlacement:
@@ -173,16 +186,15 @@ class TestGroundTruthStep:
         model = star_model(4, 3)
         state = default_pose(model, (80.0, 64.0))
         rng = np.random.default_rng(0)
-        out = ground_truth_step(model, state, MotionParams(0.0, 0.0), rng)
+        out = ground_truth_step(model, state, 0.0, 0.0, rng)
         assert np.array_equal(out, state)
 
     def test_joint_rule_preserved_under_noise(self):
         model = star_model(3, 3, 11.0, 5.0)
         state = default_pose(model, (100.0, 100.0))
         rng = np.random.default_rng(7)
-        params = MotionParams(2.0, 0.3)
         for _ in range(20):
-            state = ground_truth_step(model, state, params, rng)
+            state = ground_truth_step(model, state, 2.0, 0.3, rng)
         spec = model.spec
         for k in spec.part_ids:
             parent = spec.parent_of(k)
@@ -206,7 +218,7 @@ class TestGroundTruthStep:
             def normal(self, loc, scale):
                 return next(self.vals) if scale > 0 else 0.0
 
-        out = ground_truth_step(model, state, MotionParams(1.0, 0.5), FixedRng(0.0, 0.0, 0.4))
+        out = ground_truth_step(model, state, 1.0, 0.5, FixedRng(0.0, 0.0, 0.4))
         np.testing.assert_allclose(out[:, 2], 0.4, atol=1e-12)
         # every part centre rotated by 0.4 around the root centre
         for k in (2, 3):
@@ -219,18 +231,16 @@ class TestGroundTruthStep:
         model = chain_model(1)
         state = np.array([[5.0, 5.0, 0.0]])
         rng = np.random.default_rng(3)
-        params = MotionParams(100.0, 0.0)
         for _ in range(10):
-            state = ground_truth_step(model, state, params, rng, root_bounds=(2.0, 8.0, 1.0, 9.0))
+            state = ground_truth_step(model, state, 100.0, 0.0, rng, root_bounds=(2.0, 8.0, 1.0, 9.0))
             assert 2.0 <= state[0, 0] <= 8.0
             assert 1.0 <= state[0, 1] <= 9.0
 
     def test_determinism(self):
         model = star_model(2, 2)
         state = default_pose(model, (30.0, 30.0))
-        params = MotionParams(1.0, 0.1)
-        a = ground_truth_step(model, state, params, np.random.default_rng(42))
-        b = ground_truth_step(model, state, params, np.random.default_rng(42))
+        a = ground_truth_step(model, state, 1.0, 0.1, np.random.default_rng(42))
+        b = ground_truth_step(model, state, 1.0, 0.1, np.random.default_rng(42))
         assert np.array_equal(a, b)
 
 
