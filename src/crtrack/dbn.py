@@ -11,7 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from typing import Mapping, Optional, get_type_hints
+from typing import Optional, get_type_hints
 
 
 # The field rule: what each declared kind accepts, and its name in messages.
@@ -83,14 +83,6 @@ class DbnSpec:
             for k, parent in enumerate(self.parents, start=1)
         )
         object.__setattr__(self, "parents", parents)
-
-    @classmethod
-    def from_parent_map(
-        cls, part_count: int, within_slice_parent: Mapping[int, Optional[int]]
-    ) -> "DbnSpec":
-        """Build a spec from a {child: parent} mapping; missing ids are roots."""
-        parents = tuple(within_slice_parent.get(k) for k in range(1, part_count + 1))
-        return cls(part_count, parents)
 
     @classmethod
     def chain(cls, part_count: int) -> "DbnSpec":

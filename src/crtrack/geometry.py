@@ -25,10 +25,7 @@ def wrap_angle(theta):
     (bit for bit), so adding a zero perturbation is an exact identity."""
     t = np.asarray(theta, dtype=float)
     wrapped = np.pi - np.mod(np.pi - t, TWO_PI)
-    out = np.where((t > -np.pi) & (t <= np.pi), t, wrapped)
-    if np.isscalar(theta) or out.ndim == 0:
-        return float(out)
-    return out
+    return np.where((t > -np.pi) & (t <= np.pi), t, wrapped)[()]
 
 
 @dataclass(frozen=True)
@@ -93,41 +90,42 @@ def object_corners(model: ArticulatedModel, state: ObjectState) -> np.ndarray:
     return _place(np.asarray(state, dtype=float), lengths, widths)
 
 
-def tip_point(model: ArticulatedModel, k: int, state) -> tuple[float, float]:
-    """Midpoint of part k's tip edge, where children attach."""
-    x, y, theta = float(state[0]), float(state[1]), float(state[2])
-    half = model.lengths[k - 1] / 2.0
-    return (x + half * math.cos(theta), y + half * math.sin(theta))
+def _attach(state, cols, pcols, hp, hk, theta) -> None:
+    # The joint rule: parts ``cols`` take angles ``theta`` and sit with their
+    # base midpoints on the tip midpoints of parts ``pcols``; hp and hk are
+    # the half lengths of the parents and the parts.
+    parent = state[..., pcols, :]
+    tp = parent[..., 2]
+    state[..., cols, 0] = parent[..., 0] + hp * np.cos(tp) + hk * np.cos(theta)
+    state[..., cols, 1] = parent[..., 1] + hp * np.sin(tp) + hk * np.sin(theta)
+    state[..., cols, 2] = theta
 
 
-def _attach_centre(model: ArticulatedModel, k: int, theta: float, tip: tuple[float, float]) -> tuple[float, float]:
-    # Centre such that the base midpoint of part k lands on the parent tip.
-    half = model.lengths[k - 1] / 2.0
-    return (tip[0] + half * math.cos(theta), tip[1] + half * math.sin(theta))
+def _stages(model: ArticulatedModel):
+    # (cols, pcols, hp, hk) of each partition stage after the roots
+    spec = model.spec
+    half = np.asarray(model.lengths) / 2.0
+    for step in compute_partition(spec).steps[1:]:
+        cols = np.array(step) - 1
+        pcols = np.array([spec.parent_of(k) for k in step]) - 1
+        yield cols, pcols, half[pcols], half[cols]
 
 
 def default_pose(model: ArticulatedModel, centre: tuple[float, float]) -> ObjectState:
     """Joint-consistent rest pose: roots at ``centre`` facing +x, children of
     each part fanned evenly over the open interval (-pi, pi) relative to the
     parent (a single child continues straight; nothing folds back over its
-    parent).  Built with the same attachment arithmetic as
-    ``ground_truth_step`` so stepping it with zero noise is an exact no-op.
+    parent).  Built with the same attachment rule as ``ground_truth_step``
+    so stepping it with zero noise is an exact no-op.
     """
-    spec = model.spec
-    state = np.zeros((spec.part_count, 3))
-    for step in compute_partition(spec).steps:
-        for k in step:
-            parent = spec.parent_of(k)
-            if parent is None:
-                state[k - 1] = (centre[0], centre[1], 0.0)
-                continue
-            siblings = spec.children_of(parent)
-            rank = siblings.index(k)
-            rel = -np.pi + TWO_PI * (rank + 1) / (len(siblings) + 1)
-            theta = wrap_angle(state[parent - 1, 2] + rel)
-            tip = tip_point(model, parent, state[parent - 1])
-            cx, cy = _attach_centre(model, k, theta, tip)
-            state[k - 1] = (cx, cy, theta)
+    state = np.zeros((model.part_count, 3))
+    state[np.array(compute_partition(model.spec).steps[0]) - 1, :2] = centre
+    for cols, pcols, hp, hk in _stages(model):
+        # siblings share a stage: each part's rank by id among them, and their count
+        same = pcols[:, None] == pcols
+        rank = (same & (cols < cols[:, None])).sum(axis=1)
+        rel = -np.pi + TWO_PI * (rank + 1) / (same.sum(axis=1) + 1)
+        _attach(state, cols, pcols, hp, hk, wrap_angle(state[pcols, 2] + rel))
     return state
 
 
@@ -145,39 +143,28 @@ def ground_truth_step(
     (``sigma_theta``, radians); every other part's joint angle gets a
     Gaussian perturbation, and the part is re-placed so its base midpoint
     stays on its parent's tip midpoint.  ``root_bounds``
-    (xmin, xmax, ymin, ymax) clamps root centres after the step.
+    (xmin, xmax, ymin, ymax) clamps root centres after the step.  The draws
+    are (dx, dy, dtheta) of each root, then dtheta of each later part, in
+    partition order.
 
     The input must itself satisfy the joint rule (as poses built by
     ``default_pose`` and previous steps do); with all-zero sigmas the output
     then equals the input exactly.
     """
-    spec = model.spec
     out = np.array(state, dtype=float, copy=True)
+    roots = np.array(compute_partition(model.spec).steps[0]) - 1
+    step = rng.normal(0.0, (sigma_xy, sigma_xy, sigma_theta), (len(roots), 3))
+    out[roots] += step
+    if root_bounds is not None:
+        out[roots, :2] = np.minimum(np.maximum(out[roots, :2], root_bounds[::2]), root_bounds[1::2])
+    out[roots, 2] = wrap_angle(out[roots, 2])
     # total rotation applied to each part this step, carried down the tree so
     # children follow their parent rigidly before their own joint noise
-    applied = np.zeros(spec.part_count)
-    for step in compute_partition(spec).steps:
-        for k in step:
-            parent = spec.parent_of(k)
-            if parent is None:
-                dx = rng.normal(0.0, sigma_xy)
-                dy = rng.normal(0.0, sigma_xy)
-                dt = rng.normal(0.0, sigma_theta)
-                x = out[k - 1, 0] + dx
-                y = out[k - 1, 1] + dy
-                if root_bounds is not None:
-                    x = min(max(x, root_bounds[0]), root_bounds[1])
-                    y = min(max(y, root_bounds[2]), root_bounds[3])
-                out[k - 1] = (x, y, wrap_angle(out[k - 1, 2] + dt))
-                applied[k - 1] = dt
-            else:
-                dt = rng.normal(0.0, sigma_theta)
-                inc = applied[parent - 1] + dt
-                theta = wrap_angle(out[k - 1, 2] + inc)
-                tip = tip_point(model, parent, out[parent - 1])
-                cx, cy = _attach_centre(model, k, theta, tip)
-                out[k - 1] = (cx, cy, theta)
-                applied[k - 1] = inc
+    applied = np.zeros(model.part_count)
+    applied[roots] = step[:, 2]
+    for cols, pcols, hp, hk in _stages(model):
+        applied[cols] = applied[pcols] + rng.normal(0.0, sigma_theta, len(cols))
+        _attach(out, cols, pcols, hp, hk, wrap_angle(out[cols, 2] + applied[cols]))
     return out
 
 

@@ -64,6 +64,8 @@ class SequenceSpec:
             raise ConfigError("frame_count and canvas dimensions must be >= 1")
         if self.part_length <= 0 or self.part_width <= 0:
             raise ConfigError("part_length and part_width must be > 0")
+        if self.width < 2 * self.margin or self.height < 2 * self.margin:
+            raise ConfigError(f"width and height must be >= {2 * self.margin:g}, twice the longer part side")
         if self.sigma_xy < 0 or self.sigma_theta < 0:
             raise ConfigError("sigma_xy and sigma_theta must be >= 0")
         if self.seed < 0:
@@ -72,6 +74,11 @@ class SequenceSpec:
     @property
     def part_count(self) -> int:
         return 1 + self.arm_count * max(self.arm_length, 0)
+
+    @property
+    def margin(self) -> float:
+        """How far root centres stay inside the canvas: the longer part side."""
+        return max(self.part_length, self.part_width)
 
 
 def build_model(spec: SequenceSpec) -> ArticulatedModel:
@@ -84,8 +91,7 @@ def simulate_sequence(spec: SequenceSpec) -> tuple[ArticulatedModel, list[np.nda
     model = build_model(spec)
     pose = default_pose(model, (spec.width / 2.0, spec.height / 2.0))
     rng = np.random.default_rng(spec.seed)
-    margin = max(model.lengths[0], model.widths[0])
-    bounds = (margin, spec.width - margin, margin, spec.height - margin)
+    bounds = (spec.margin, spec.width - spec.margin, spec.margin, spec.height - spec.margin)
     states = [pose]
     for _ in range(spec.frame_count - 1):
         states.append(

@@ -206,7 +206,7 @@ def estimate(pset: ParticleSet) -> ObjectState:
     sin_sum = w @ np.sin(delta[:, :, 2])
     cos_sum = w @ np.cos(delta[:, :, 2])
     theta = wrap_angle(ref[:, 2] + np.arctan2(sin_sum, cos_sum))
-    return np.column_stack((x, y, np.atleast_1d(theta)))
+    return np.column_stack((x, y, theta))
 
 
 @dataclass

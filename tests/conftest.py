@@ -38,14 +38,14 @@ def make_particle_set(spec: DbnSpec, part_values, part_weights=None):
 def six_part_tree():
     """Root with three children, two of which chain one further part:
     levels {1}, {2,4,6}, {3,5}."""
-    return DbnSpec.from_parent_map(6, {2: 1, 3: 2, 4: 1, 5: 4, 6: 1})
+    return DbnSpec(6, (None, 1, 2, 1, 4, 1))
 
 
 @pytest.fixture
 def five_part_instance():
     """Five particles over a five-part tree at its last level; processed
     fragments collide into three groups of sizes 2, 1, 2."""
-    spec = DbnSpec.from_parent_map(5, {2: 1, 3: 2, 4: 1, 5: 4})
+    spec = DbnSpec(5, (None, 1, 2, 1, 4))
     part_values = (
         (0, 0, 0, 0, 0),
         (1, 1, 1, 2, 2),

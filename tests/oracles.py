@@ -19,7 +19,7 @@ from scipy.special import gammaln
 
 from crtrack import likelihood
 from crtrack.dbn import DbnSpec, compute_partition
-from crtrack.geometry import part_intensity, polygon_bboxes, polygon_fills
+from crtrack.geometry import part_intensity, polygon_bboxes, polygon_fills, wrap_angle
 from crtrack.likelihood import BIN_COUNT
 from crtrack.resampling import ParticleSet, multinomial_draw
 
@@ -201,6 +201,71 @@ def _depth_steps(spec: DbnSpec) -> list[tuple[int, ...]]:
         tuple(sorted(k for k, d in depth.items() if d == level))
         for level in range(max(depth.values()) + 1)
     ]
+
+
+def tip_point(model, k: int, state) -> tuple[float, float]:
+    """Midpoint of part k's tip edge, where children attach."""
+    x, y, theta = float(state[0]), float(state[1]), float(state[2])
+    half = model.lengths[k - 1] / 2.0
+    return (x + half * float(np.cos(theta)), y + half * float(np.sin(theta)))
+
+
+def _attach_centre(model, k: int, theta: float, tip: tuple[float, float]) -> tuple[float, float]:
+    # Centre such that the base midpoint of part k lands on the parent tip.
+    half = model.lengths[k - 1] / 2.0
+    return (tip[0] + half * float(np.cos(theta)), tip[1] + half * float(np.sin(theta)))
+
+
+def default_pose(model, centre: tuple[float, float]) -> np.ndarray:
+    """The rest pose walked one part at a time: roots at ``centre`` facing
+    +x, the children of each part fanned over (-pi, pi) by sibling rank."""
+    spec = model.spec
+    state = np.zeros((spec.part_count, 3))
+    for step in _depth_steps(spec):
+        for k in step:
+            parent = spec.parent_of(k)
+            if parent is None:
+                state[k - 1] = (centre[0], centre[1], 0.0)
+                continue
+            siblings = spec.children_of(parent)
+            rank = siblings.index(k)
+            rel = -np.pi + 2.0 * math.pi * (rank + 1) / (len(siblings) + 1)
+            theta = wrap_angle(state[parent - 1, 2] + rel)
+            tip = tip_point(model, parent, state[parent - 1])
+            cx, cy = _attach_centre(model, k, theta, tip)
+            state[k - 1] = (cx, cy, theta)
+    return state
+
+
+def ground_truth_step(model, state, sigma_xy, sigma_theta, rng, root_bounds=None) -> np.ndarray:
+    """One motion step walked one part at a time, with one scalar draw per
+    value: (dx, dy, dtheta) of each root, then dtheta of each later part."""
+    spec = model.spec
+    out = np.array(state, dtype=float, copy=True)
+    applied = np.zeros(spec.part_count)
+    for step in _depth_steps(spec):
+        for k in step:
+            parent = spec.parent_of(k)
+            if parent is None:
+                dx = rng.normal(0.0, sigma_xy)
+                dy = rng.normal(0.0, sigma_xy)
+                dt = rng.normal(0.0, sigma_theta)
+                x = out[k - 1, 0] + dx
+                y = out[k - 1, 1] + dy
+                if root_bounds is not None:
+                    x = min(max(x, root_bounds[0]), root_bounds[1])
+                    y = min(max(y, root_bounds[2]), root_bounds[3])
+                out[k - 1] = (x, y, wrap_angle(out[k - 1, 2] + dt))
+                applied[k - 1] = dt
+            else:
+                dt = rng.normal(0.0, sigma_theta)
+                inc = applied[parent - 1] + dt
+                theta = wrap_angle(out[k - 1, 2] + inc)
+                tip = tip_point(model, parent, out[parent - 1])
+                cx, cy = _attach_centre(model, k, theta, tip)
+                out[k - 1] = (cx, cy, theta)
+                applied[k - 1] = inc
+    return out
 
 
 def blocks_of(spec: DbnSpec, k: int) -> list[int]:

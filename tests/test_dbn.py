@@ -31,12 +31,6 @@ def tree_specs(draw, max_parts=9):
 
 
 class TestStructure:
-    def test_from_parent_map_missing_ids_are_roots(self):
-        spec = DbnSpec.from_parent_map(4, {2: 1, 4: 2})
-        assert spec.parents == (None, 1, None, 2)
-        assert spec.parent_of(3) is None
-        assert spec.children_of(2) == (4,)
-
     def test_chain(self):
         spec = DbnSpec.chain(4)
         assert spec.parents == (None, 1, 2, 3)
@@ -112,7 +106,7 @@ class TestPartition:
         assert partition.steps == ((1,), (2, 4, 6), (3, 5))
 
     def test_forest_roots_share_first_step(self):
-        spec = DbnSpec.from_parent_map(4, {3: 1, 4: 2})
+        spec = DbnSpec(4, (None, None, 1, 2))
         assert compute_partition(spec).steps == ((1, 2), (3, 4))
 
     def test_processed_and_pending_partition_the_ids(self, six_part_tree):

@@ -19,12 +19,11 @@ from crtrack.geometry import (
     polygon_fills,
     polygon_runs,
     render_frame,
-    tip_point,
     wrap_angle,
 )
 
 import oracles
-from oracles import brute_force_mask, place_polygon, polygon_bbox, polygon_mask
+from oracles import brute_force_mask, place_polygon, polygon_bbox, polygon_mask, tip_point
 
 
 def chain_model(parts, length=10.0, width=4.0):
@@ -54,6 +53,7 @@ class TestWrapAngle:
     def test_in_range_is_bitwise_identity(self):
         for theta in (0.0, 1.5, -3.1415, math.pi, np.nextafter(-math.pi, 0.0)):
             assert wrap_angle(theta) == theta
+            assert type(wrap_angle(theta)) is np.float64
 
     def test_wraps_beyond_pi(self):
         assert wrap_angle(math.pi + 0.5) == pytest.approx(-math.pi + 0.5)
@@ -215,8 +215,10 @@ class TestGroundTruthStep:
             def __init__(self, dx, dy, dt):
                 self.vals = iter([dx, dy, dt, 0.0, 0.0])
 
-            def normal(self, loc, scale):
-                return next(self.vals) if scale > 0 else 0.0
+            def normal(self, loc, scale, size):
+                scale = np.broadcast_to(scale, size)
+                queued = np.array([next(self.vals) for _ in range(scale.size)]).reshape(size)
+                return np.where(scale > 0, queued, 0.0)
 
         out = ground_truth_step(model, state, 1.0, 0.5, FixedRng(0.0, 0.0, 0.4))
         np.testing.assert_allclose(out[:, 2], 0.4, atol=1e-12)
@@ -242,6 +244,55 @@ class TestGroundTruthStep:
         a = ground_truth_step(model, state, 1.0, 0.1, np.random.default_rng(42))
         b = ground_truth_step(model, state, 1.0, 0.1, np.random.default_rng(42))
         assert np.array_equal(a, b)
+
+
+@st.composite
+def forest_models(draw, max_parts=12):
+    """Models over random forests (any id order, several roots allowed),
+    chains and stars, with per-part sizes."""
+    kind = draw(st.sampled_from(["forest", "chain", "star"]))
+    if kind == "chain":
+        spec = DbnSpec.chain(draw(st.integers(1, max_parts)))
+    elif kind == "star":
+        arms = draw(st.integers(1, 4))
+        spec = DbnSpec.star(arms, draw(st.integers(1, (max_parts - 1) // arms)))
+    else:
+        p = draw(st.integers(1, max_parts))
+        # parents drawn in a topological order, then ids shuffled
+        order = draw(st.permutations(range(1, p + 1)))
+        parents = [None] * p
+        for i in range(1, p):
+            j = draw(st.one_of(st.none(), st.integers(0, i - 1)))
+            parents[order[i] - 1] = None if j is None else order[j]
+        spec = DbnSpec(p, tuple(parents))
+    sizes = st.lists(st.floats(0.5, 40.0), min_size=spec.part_count, max_size=spec.part_count)
+    return ArticulatedModel(spec, tuple(draw(sizes)), tuple(draw(sizes)))
+
+
+class TestStageWalkMatchesScalarWalk:
+    """``default_pose`` and ``ground_truth_step`` advance a partition stage
+    at a time; the part-by-part oracles draw one scalar per value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        forest_models(),
+        st.tuples(st.floats(-50.0, 250.0), st.floats(-50.0, 250.0)),
+        st.sampled_from([0.0, 0.5, 4.0]),
+        st.sampled_from([0.0, 0.05, 1.5]),
+        st.one_of(st.none(), st.tuples(*[st.floats(-20.0, 220.0)] * 4)),
+        st.integers(1, 5),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_poses_and_stream(self, model, centre, sigma_xy, sigma_theta, bounds, steps, seed):
+        want = oracles.default_pose(model, centre)
+        got = default_pose(model, centre)
+        assert np.array_equal(got, want)
+        rng_want, rng_got = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(steps):
+            want = oracles.ground_truth_step(model, want, sigma_xy, sigma_theta, rng_want, bounds)
+            got = ground_truth_step(model, got, sigma_xy, sigma_theta, rng_got, bounds)
+            assert np.array_equal(got, want)
+        assert rng_got.normal() == rng_want.normal()
 
 
 @st.composite

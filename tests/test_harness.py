@@ -105,6 +105,19 @@ class TestSequenceSpec:
         with pytest.raises(ConfigError):
             tiny_spec(**{"arm_count": 1, "arm_length": 1, **kw})
 
+    def test_canvas_holds_twice_the_longer_part_side(self):
+        # a narrower canvas inverts the root bounds (m, width - m): the root
+        # would jump from the centre to width - m at frame 1
+        kw = dict(part_length=12.0, part_width=6.0, arm_count=1, arm_length=1, frame_count=3)
+        with pytest.raises(ConfigError, match="width and height must be >= 24"):
+            SequenceSpec(width=20, height=20, **kw)
+        with pytest.raises(ConfigError):
+            SequenceSpec(width=24, height=23, **kw)
+        spec = SequenceSpec(width=24, height=24, **kw)
+        assert spec.margin == 12.0
+        _, _, truth = simulate_sequence(spec)
+        np.testing.assert_array_equal(truth[:, 0, :2], 12.0)
+
     def test_defaults_are_the_paper_scale(self):
         spec = SequenceSpec()
         assert (spec.arm_count, spec.arm_length, spec.frame_count) == (4, 3, 300)
@@ -818,8 +831,8 @@ class TestTrackRejectsBadInput:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--part-length", "-3"], ["--part-width", "0"], ["--sigma-xy", "-1"]],
-        ids=["part-length", "part-width", "sigma-xy"],
+        [["--part-length", "-3"], ["--part-width", "0"], ["--sigma-xy", "-1"], ["--width", "20"]],
+        ids=["part-length", "part-width", "sigma-xy", "width"],
     )
     def test_generate_bad_object_size(self, tmp_path, capsys, monkeypatch, flags):
         monkeypatch.setattr("crtrack.harness.simulate_sequence", self.no_tracking)
