@@ -25,34 +25,64 @@ BIN_COUNT = 8
 WINDOW_CELLS = 1 << 18
 
 
+def _field_ones(bits: int) -> np.ndarray:
+    """Cell values (8 * bits // 64, 256) uint64 of an intensity v for fields
+    of ``bits`` bits, 64 // bits to a word: a one in field (v >> 5) % fields
+    of word (v >> 5) // fields."""
+    fields = 64 // bits
+    bins = np.arange(256, dtype=np.uint64) >> 5
+    words = np.arange(BIN_COUNT // fields)[:, None]
+    return np.where(bins // fields == words, np.uint64(1) << bins % fields * bits, np.uint64(0))
+
+
+# Cell values for each packed field width, narrowest first
+_FIELD_ONES = {bits: _field_ones(bits) for bits in (8, 16, 32)}
+
+
 def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Pixel counts (N, 8) per intensity bin of N quadrilaterals with corners
-    (N, 4, 2).
+    (N, 4, 2) on a 2-D uint8 ``image``.
 
     Bin i collects intensities [32 i, 32 i + 31] of the pixels whose centres
-    fall inside (the ``polygon_fills`` rule).  Each region's rows are its
-    ``polygon_runs``; only the pixels of those runs are gathered from the
-    flattened binned frame, and all counts come from one ``np.bincount``
-    over ``particle * 8 + bin``.  Batches are split over particles so that
-    particles x largest-box cells stay within ``WINDOW_CELLS``.
+    fall inside (the ``polygon_fills`` rule).  The window is the union of the
+    non-empty clipped boxes.  Each of its cells maps to a one in the bits
+    field of its bin, packed ``64 // bits`` fields to a uint64 word, where
+    ``bits`` in (8, 16, 32) is the narrowest width above the largest box's
+    cell count, so no field of a placement's sum can carry.  Row prefix sums
+    of the packed cells wrap modulo 2**64, which leaves every difference
+    exact, so a ``polygon_runs`` run costs two table reads.  Batches are
+    split over particles so that particles x largest-box cells stay within
+    ``WINDOW_CELLS``.
     """
     height, width = image.shape
     n = len(corners)
     x0, y0, nx, ny = polygon_bboxes(corners, width, height)
-    bins = (image >> 5).ravel()
     counts = np.zeros((n, BIN_COUNT), dtype=np.int64)
+    cells = nx * ny
+    boxed = cells > 0
+    if not boxed.any():
+        return counts
+    left, top = x0[boxed].min(), y0[boxed].min()
+    w, h = (x0 + nx)[boxed].max() - left, (y0 + ny)[boxed].max() - top
+    bits = next(b for b in _FIELD_ONES if cells.max() < 1 << b)
+    ones = _FIELD_ONES[bits]
+    table = np.zeros((len(ones), h, w + 1), dtype=np.uint64)
+    np.cumsum(ones[:, image[top : top + h, left : left + w]], axis=2, out=table[..., 1:])
+    flat = table.reshape(len(ones), -1)
+    shifts = np.arange(0, 64, bits, dtype=np.uint64)
+    mask = np.uint64((1 << bits) - 1)
     step = max(1, WINDOW_CELLS // max(1, int(ny.max(initial=0)) * int(nx.max(initial=0))))
     for start in range(0, n, step):
         batch = slice(start, start + step)
         lo, hi = polygon_runs(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
-        # run (i, r) starts at pixel (y0 + r) * width + x0 + lo of the frame
-        first = (y0[batch, None] + np.arange(lo.shape[1])) * width + x0[batch, None] + lo
-        lengths = (hi - lo).ravel()
-        ends = np.cumsum(lengths)
-        sizes = (hi - lo).sum(axis=1)
-        pixels = np.repeat(first.ravel() - ends + lengths, lengths) + np.arange(sizes.sum())
-        keys = np.repeat(np.arange(len(lo)) * BIN_COUNT, sizes) + bins[pixels]
-        counts[batch] = np.bincount(keys, minlength=len(lo) * BIN_COUNT).reshape(-1, BIN_COUNT)
+        # row r of placement i starts at (y0 + r - top, x0 - left) of the table;
+        # a padded row or empty box has lo == hi, so any clipped index reads 0
+        stride = np.arange(0, lo.shape[1] * (w + 1), w + 1)
+        first = ((y0[batch] - top) * (w + 1) + x0[batch] - left)[:, None] + stride
+        packed = np.take(flat, first + hi, axis=1, mode="clip")
+        packed -= np.take(flat, first + lo, axis=1, mode="clip")
+        sums = packed.sum(axis=2)
+        counts[batch] = (sums.T[..., None] >> shifts & mask).reshape(-1, BIN_COUNT)
     return counts
 
 

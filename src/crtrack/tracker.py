@@ -239,6 +239,9 @@ def track_sequence(
     """
     if len(frames) < 1:
         raise ValueError("need at least one frame")
+    for t, frame in enumerate(frames):
+        if np.ndim(frame) != 2 or getattr(frame, "dtype", None) != np.uint8:
+            raise ValueError(f"frame {t} is not a 2-D uint8 array")
     pose = (model.part_count, 3)
     if np.shape(initial) != pose:
         raise ValueError(f"initial pose shape {np.shape(initial)} != {pose} (parts, 3)")

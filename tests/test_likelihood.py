@@ -351,9 +351,10 @@ def counted_batches(draw):
     return image, np.stack(draw(st.lists(placements, min_size=1, max_size=16)))
 
 
-class TestRunGather:
-    """``region_counts`` gathers the pixels of each row's run; the oracle
-    ``mask_region_counts`` masks a shared window.  They agree bit for bit."""
+class TestRowPrefixTable:
+    """``region_counts`` reads each row's run from packed row prefix sums
+    over the union of the boxes; the oracle ``mask_region_counts`` masks a
+    shared window.  They agree bit for bit."""
 
     @given(counted_batches(), st.sampled_from((1, 40, 500, WINDOW_CELLS)))
     @settings(max_examples=200, deadline=None)
@@ -367,12 +368,61 @@ class TestRunGather:
 
     def test_short_block_in_the_far_corner_beside_a_tall_one(self):
         # the tall box has 16 rows from row 0, the corner box 3 from row 13:
-        # its padded rows 3-15 start below the frame and gather nothing
+        # its padded rows 3-15 lie below the window and read nothing
         image = np.random.default_rng(10).integers(0, 256, size=(16, 20), dtype=np.uint8)
         corners = np.stack((rect_corners(4.0, 8.0, 1.5, 7.0), rect_corners(18.5, 15.0, 1.5, 1.0)))
         got = region_counts(image, corners)
         np.testing.assert_array_equal(got, mask_region_counts(image, corners))
         np.testing.assert_array_equal(got.sum(axis=1), [3 * 14, 3 * 2])
+
+    @pytest.mark.parametrize("value", [0, 100, 255])
+    @pytest.mark.parametrize("shape", [(15, 17), (16, 16), (255, 257), (256, 256)])
+    def test_a_full_field_does_not_carry(self, shape, value):
+        # a rectangle over the whole frame counts every box cell in one bin:
+        # 255 and 65,535 fill an 8- and a 16-bit field, 256 and 65,536 need
+        # the next width
+        image = np.full(shape, value, dtype=np.uint8)
+        height, width = shape
+        corners = np.stack((rect_corners(width / 2, height / 2, width, height), rect_corners(3, 3, 1, 1)))
+        got = region_counts(image, corners)
+        np.testing.assert_array_equal(got, mask_region_counts(image, corners))
+        assert got[0, value >> 5] == height * width
+
+    @pytest.mark.parametrize("value", [0, 100, 255])
+    def test_row_prefixes_past_a_field_stay_exact(self, value):
+        # 8-bit fields (boxes of 100 cells) and window rows of 600 cells of one
+        # bin: the prefix fields carry into their neighbours, or past the top
+        # of the word for bin 7, and every difference is still exact
+        image = np.full((12, 600), value, dtype=np.uint8)
+        corners = np.stack((rect_corners(5, 5, 4, 4), rect_corners(594, 6, 4, 4)))
+        got = region_counts(image, corners)
+        np.testing.assert_array_equal(got, mask_region_counts(image, corners))
+        np.testing.assert_array_equal(got[:, value >> 5], [64, 64])
+
+    def test_boxes_in_opposite_corners_span_the_frame(self):
+        image = np.random.default_rng(11).integers(0, 256, size=(40, 60), dtype=np.uint8)
+        corners = np.stack((rect_corners(1.0, 1.5, 3.0, 2.5, 0.3), rect_corners(58.5, 38.0, 2.5, 3.0, -0.2)))
+        np.testing.assert_array_equal(region_counts(image, corners), mask_region_counts(image, corners))
+
+    def test_no_corners_give_no_rows(self):
+        image = np.zeros((10, 10), dtype=np.uint8)
+        got = region_counts(image, np.zeros((0, 4, 2)))
+        assert got.shape == (0, BIN_COUNT) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("window_cells", [1, WINDOW_CELLS])
+    def test_off_canvas_placements_beside_on_canvas_ones(self, monkeypatch, window_cells):
+        # off-canvas boxes are clipped to x0 = width or y0 = height with no
+        # cell and must not widen the window; one cell a batch puts each
+        # placement in its own batch, so some batches hold only empty boxes
+        monkeypatch.setattr(likelihood, "WINDOW_CELLS", window_cells)
+        image = np.random.default_rng(12).integers(0, 256, size=(30, 40), dtype=np.uint8)
+        on = [rect_corners(20.0, 15.0, 4.0, 2.0, 0.4), rect_corners(6.0, 25.0, 2.0, 3.0)]
+        off = [rect_corners(x, y, 3.0, 2.0) for x, y in ((70.0, 10.0), (10.0, 50.0), (-20.0, -20.0))]
+        corners = np.stack(off[:1] + on[:1] + off[1:] + on[1:])
+        got = region_counts(image, corners)
+        np.testing.assert_array_equal(got, mask_region_counts(image, corners))
+        np.testing.assert_array_equal(got.sum(axis=1) > 0, [False, True, False, False, True])
+        np.testing.assert_array_equal(region_counts(image, np.stack(off)), 0)
 
 
 class TestOnePartForms:

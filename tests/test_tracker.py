@@ -453,6 +453,23 @@ class TestTrackSequence:
         with pytest.raises(ValueError, match=re.escape(f"initial pose shape {shape} != {(5, 3)}")):
             track_sequence(frames, pose[cut], model, TrackerConfig(particle_count=3))
 
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda f: np.where(np.arange(f.shape[1]) < f.shape[1] // 2, 300, f.astype(np.int64)),
+            lambda f: f.astype(float),
+            lambda f: np.stack([f] * 3, axis=-1),
+        ],
+        ids=["int64-above-255", "float", "three-channel"],
+    )
+    def test_frame_that_is_not_2d_uint8_raises_before_tracking(self, untracked, make):
+        # the histogram kernel bins uint8 intensities only; frame 2, so every
+        # frame is checked before the references are built from frame 0
+        model, pose, frames = self.static_sequence(frames=5)
+        frames[2] = make(frames[2])
+        with pytest.raises(ValueError, match="frame 2 is not a 2-D uint8 array"):
+            track_sequence(frames, pose, model, TrackerConfig(particle_count=3))
+
     @pytest.mark.parametrize("name", RESAMPLER_NAMES)
     def test_zero_noise_static_scene_gives_zero_error(self, name):
         model, pose, frames = self.static_sequence()
