@@ -168,50 +168,68 @@ def ground_truth_step(
     return out
 
 
-def crossing_columns(corners, x0, y0, nx, ny) -> np.ndarray:
-    """Crossing columns (m, N, max ny) of N convex polygons of m corners.
+def polygon_run_batches(corners, x0, y0, nx, ny, cells=None):
+    """``polygon_runs`` of N convex polygons, corners (N, m, 2), yielded as
+    (batch, lo, hi), lo and hi row-major (rows, placements), for slices of at
+    most ``cells`` cells (placements x the largest block's cells), or as one
+    batch, even for N = 0, if ``cells`` is None.  Once per call, from one
+    coordinate-major (2, m, N) copy of the corners: each edge's x1, y1,
+    dx = x2 - x1, dy = y2 - y1 and span bounds as (m, 1, N) arrays that
+    broadcast over a batch's rows, the row count and the count dtype (the
+    narrowest signed one above ``nx.max()``)."""
+    n, rows, width = len(x0), int(ny.max(initial=0)), int(nx.max(initial=0))
+    step = max(1, n if cells is None else cells // max(1, rows * width))
+    dtype = np.min_scalar_type(-width - 1)
+    x1, y1 = xy = np.ascontiguousarray(corners.transpose(2, 1, 0))[:, :, None]
+    x2, y2 = np.concatenate((xy[:, 1:], xy[:, :1]), axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spans = np.minimum(y1, y2), np.minimum(np.maximum(y1, y2), y0 + ny)
+        per_call = (x1, y1, x2 - x1, y2 - y1, *spans, x0, y0, nx)
+    for start in range(0, max(n, 1), step):
+        batch = slice(start, start + step)
+        yield batch, *_batch_runs([v[..., batch] for v in per_call], rows, dtype)
 
-    Entry (e, i, r) counts the columns c < nx[i] of block i whose centre
-    x0 + c + 0.5 lies strictly left of edge e's crossing xint of the row
-    centre yc = y0 + r + 0.5, or is 0 where the edge's half-open span
-    (lo <= yc < hi) misses the row; padded rows r >= ny[i] get 0.  The count
-    ``ceil(xint - 0.5) - x0``, clipped to [0, nx], is exact for blocks inside
-    [0, 2**52): xint - 0.5 is exact on [0.25, 2**52), and outside that range
-    the clipped count is 0 or nx.  A NaN crossing counts 0.  The dtype is the
-    narrowest signed integer that holds ``nx.max()``.
-    """
-    yc = y0[:, None] + np.arange(int(ny.max(initial=0))) + 0.5
-    x1, y1 = corners[:, :, 0].T[..., None], corners[:, :, 1].T[..., None]
-    x2, y2 = np.concatenate((x1[1:], x1[:1])), np.concatenate((y1[1:], y1[:1]))
-    hi = np.minimum(np.maximum(y1, y2), (y0 + ny)[:, None])
-    spans = np.minimum(y1, y2) <= yc
-    spans &= yc < hi
+
+def _batch_runs(per_call, rows, dtype):
+    # Runs (rows, placements) of one batch.  Entry (e, r, i) of its crossing
+    # columns counts the columns c < nx[i] of block i whose centre x0 + c + 0.5
+    # lies strictly left of edge e's crossing xint at row centre y0 + r + 0.5,
+    # or is 0 where the edge's half-open span misses the row or r >= ny[i]:
+    # ceil(xint - 0.5) - x0 clipped to [0, nx], exact for blocks inside
+    # [0, 2**52), 0 for a NaN crossing.  The arrays die on return: held across
+    # a yield, they made the allocator trim and refault the heap every call.
+    x1, y1, dx, dy, lo_y, hi_y, x0, y0, nx = per_call
+    yc = y0 + np.arange(rows)[:, None] + 0.5
+    spans = lo_y <= yc
+    spans &= yc < hi_y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # xint = x1 + (yc - y1) / (y2 - y1) * (x2 - x1), then the count
         cols = np.subtract(yc, y1)
-        cols /= y2 - y1
-        cols *= x2 - x1
+        cols /= dy
+        cols *= dx
         cols += x1
         cols -= 0.5
         np.ceil(cols, out=cols)
-        cols -= x0[:, None]
+        cols -= x0
         np.fmax(cols, 0, out=cols)
-        np.minimum(cols, nx[:, None], out=cols)
+        np.minimum(cols, nx, out=cols)
     cols *= spans
-    return cols.astype(np.min_scalar_type(-int(nx.max(initial=0)) - 1))
-
-
-def polygon_runs(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
-    """Runs (lo, hi), each (N, max ny): row r of polygon i fills the block
-    columns [lo[i, r], hi[i, r]) under the ``polygon_fills`` rule; padded
-    rows are empty.  The polygons must be convex, as every placed part is: a
-    row then crosses two edges or none, so its run lies between its two
-    largest ``crossing_columns``.  A concave polygon loses its lower runs."""
-    s0, s1, *rest = crossing_columns(corners, x0, y0, nx, ny)
+    # a convex polygon's row crosses two edges or none: its run lies between
+    # its two largest counts (a streaming top two)
+    s0, s1, *rest = cols.astype(dtype)
     lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
     for t in rest:
         lo, hi = np.maximum(lo, np.minimum(hi, t)), np.maximum(hi, t)
     return lo, hi
+
+
+def polygon_runs(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
+    """Runs (lo, hi), each (N, max ny), of N convex polygons: row r of
+    polygon i fills the block columns [lo[i, r], hi[i, r]) under the
+    ``polygon_fills`` rule; padded rows are empty.  A concave polygon loses
+    its lower runs.  One batch of ``polygon_run_batches``, transposed."""
+    ((_, lo, hi),) = polygon_run_batches(corners, x0, y0, nx, ny)
+    return lo.T, hi.T
 
 
 def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +242,8 @@ def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
     half-open edge spans (y1 <= yc < y2) and a strict x comparison.  Centres
     strictly inside are always in; centres exactly on the boundary resolve
     consistently, so translating a polygon by whole pixels translates its
-    fill.  Padded cells are never set: ``crossing_columns`` gives their rows
-    no crossing and clips every crossing to the block's width.
+    fill.  Padded cells are never set: ``polygon_run_batches`` gives their
+    rows no crossing and clips every crossing to the block's width.
     """
     lo, hi = polygon_runs(corners, x0, y0, nx, ny)
     c = np.arange(int(nx.max(initial=0)), dtype=lo.dtype)
@@ -240,17 +258,19 @@ def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.
 
 
 def polygon_bboxes(corners: np.ndarray, width: int, height: int):
-    """Pixel blocks covering N polygons, corners (N, 4, 2), clipped to the
+    """Pixel blocks covering N polygons, corners (N, m, 2), clipped to the
     canvas: int arrays (x0, y0, nx, ny).  A polygon wholly off the canvas
-    gets an empty block."""
-    lo = np.floor(corners.min(axis=1) - 0.5)
-    hi = np.ceil(corners.max(axis=1) + 0.5)
-    size = np.array([width, height])
+    gets an empty block.  The min and max read m contiguous rows of a
+    coordinate-major (2, m, N) copy, or of the array a transposed view is of."""
+    xy = np.ascontiguousarray(corners.transpose(2, 1, 0))
+    lo = np.floor(xy.min(axis=1) - 0.5)
+    hi = np.ceil(xy.max(axis=1) + 0.5)
+    size = np.array([[width], [height]])
     start = np.minimum(np.maximum(lo, 0), size)
     stop = np.minimum(hi, size - 1)
     extent = np.maximum(0, stop - start + 1)
-    x0, y0 = start.astype(np.intp).T
-    nx, ny = extent.astype(np.intp).T
+    x0, y0 = start.astype(np.intp)
+    nx, ny = extent.astype(np.intp)
     return x0, y0, nx, ny
 
 

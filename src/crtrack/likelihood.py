@@ -13,15 +13,15 @@ from .geometry import (
     object_corners,
     polygon_bboxes,
     polygon_mask,
-    polygon_runs,
+    polygon_run_batches,
 )
 
 log = logging.getLogger(__name__)
 
 BIN_COUNT = 8
 
-# Most cells (particles x box rows x box columns) counted in one pass;
-# larger batches are split over particles to bound memory.
+# Most cells (particles x the largest box's cells) in a batch: this bounds
+# the crossing arrays, edges x box rows x particles; no array spans columns.
 WINDOW_CELLS = 1 << 18
 
 
@@ -41,7 +41,7 @@ _FIELD_ONES = {bits: _field_ones(bits) for bits in (8, 16, 32)}
 
 def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     """Pixel counts (N, 8) per intensity bin of N quadrilaterals with corners
-    (N, 4, 2) on a 2-D uint8 ``image``.
+    (N, 4, 2) on a 2-D uint8 ``image``; any other image raises ValueError.
 
     Bin i collects intensities [32 i, 32 i + 31] of the pixels whose centres
     fall inside (the ``polygon_fills`` rule).  The window is the union of the
@@ -50,12 +50,15 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     ``bits`` in (8, 16, 32) is the narrowest width above the largest box's
     cell count, so no field of a placement's sum can carry.  Row prefix sums
     of the packed cells wrap modulo 2**64, which leaves every difference
-    exact, so a ``polygon_runs`` run costs two table reads.  Batches are
-    split over particles so that particles x largest-box cells stay within
-    ``WINDOW_CELLS``.
+    exact, so a ``polygon_runs`` run costs two table reads.  The boxes and
+    the run batches (``WINDOW_CELLS``) get a transposed view of one (2, 4, N)
+    coordinate-major copy of the corners, which they read without a copy.
     """
+    if getattr(image, "dtype", None) != np.uint8 or image.ndim != 2:
+        raise ValueError("expected a 2-D uint8 image")
     height, width = image.shape
     n = len(corners)
+    corners = np.ascontiguousarray(corners.transpose(2, 1, 0)).transpose(2, 1, 0)
     x0, y0, nx, ny = polygon_bboxes(corners, width, height)
     counts = np.zeros((n, BIN_COUNT), dtype=np.int64)
     cells = nx * ny
@@ -71,17 +74,14 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     flat = table.reshape(len(ones), -1)
     shifts = np.arange(0, 64, bits, dtype=np.uint64)
     mask = np.uint64((1 << bits) - 1)
-    step = max(1, WINDOW_CELLS // max(1, int(ny.max(initial=0)) * int(nx.max(initial=0))))
-    for start in range(0, n, step):
-        batch = slice(start, start + step)
-        lo, hi = polygon_runs(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
+    for batch, lo, hi in polygon_run_batches(corners, x0, y0, nx, ny, WINDOW_CELLS):
         # row r of placement i starts at (y0 + r - top, x0 - left) of the table;
         # a padded row or empty box has lo == hi, so any clipped index reads 0
-        stride = np.arange(0, lo.shape[1] * (w + 1), w + 1)
-        first = ((y0[batch] - top) * (w + 1) + x0[batch] - left)[:, None] + stride
+        stride = np.arange(0, len(lo) * (w + 1), w + 1)[:, None]
+        first = (y0[batch] - top) * (w + 1) + x0[batch] - left + stride
         packed = np.take(flat, first + hi, axis=1, mode="clip")
         packed -= np.take(flat, first + lo, axis=1, mode="clip")
-        sums = packed.sum(axis=2)
+        sums = packed.sum(axis=1)
         counts[batch] = (sums.T[..., None] >> shifts & mask).reshape(-1, BIN_COUNT)
     return counts
 

@@ -13,6 +13,8 @@ from crtrack.geometry import (
     object_corners,
     part_intensity,
     place_polygons,
+    polygon_bboxes,
+    polygon_runs,
     render_frame,
 )
 from crtrack import likelihood
@@ -423,6 +425,106 @@ class TestRowPrefixTable:
         np.testing.assert_array_equal(got, mask_region_counts(image, corners))
         np.testing.assert_array_equal(got.sum(axis=1) > 0, [False, True, False, False, True])
         np.testing.assert_array_equal(region_counts(image, np.stack(off)), 0)
+
+
+class TestRunBatches:
+    """``region_counts`` takes its boxes and run batches from one
+    coordinate-major copy of the corners; the edge constants, the row count
+    and the dtype are taken once per call and sliced for every batch."""
+
+    def test_a_short_last_batch_of_small_boxes_counts_exactly(self, monkeypatch):
+        # six large boxes then two small ones, three boxes a batch: the last
+        # batch holds two placements, fewer than the others, and fills only
+        # the top rows of the call's row count; no value of an earlier batch
+        # may reach its counts
+        image = np.random.default_rng(13).integers(0, 256, size=(40, 50), dtype=np.uint8)
+        large = [rect_corners(8.0 + 6 * i, 10.0 + 3 * i, 4.5, 3.5, 0.3 * i) for i in range(6)]
+        small = [rect_corners(30.0, 32.0, 1.5, 1.0), rect_corners(12.0, 34.0, 1.0, 2.0, 0.7)]
+        corners = np.stack(large + small)
+        x0, y0, nx, ny = polygon_bboxes(corners, 50, 40)
+        rows = int(ny.max())
+        assert (ny[6:] < ny[:6].min()).all() and (nx[6:] < nx[:6].min()).all()
+        monkeypatch.setattr(likelihood, "WINDOW_CELLS", 3 * int(nx.max()) * rows)
+        seen = []
+        batches = likelihood.polygon_run_batches
+
+        def recording(*args):
+            for batch, lo, hi in batches(*args):
+                seen.append((batch.indices(len(corners))[:2], lo.shape, hi.shape))
+                yield batch, lo, hi
+
+        monkeypatch.setattr(likelihood, "polygon_run_batches", recording)
+        got = region_counts(image, corners)
+        assert seen == [
+            ((0, 3), (rows, 3), (rows, 3)),
+            ((3, 6), (rows, 3), (rows, 3)),
+            ((6, 8), (rows, 2), (rows, 2)),
+        ]
+        want = mask_region_counts(image, corners)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        assert (got.sum(axis=1) > 0).all()
+
+    @pytest.mark.parametrize("layout", ["strided", "fortran", "coordinate-major view"])
+    def test_corners_are_left_unchanged_in_any_layout(self, layout):
+        # every other placement of a batch is copied; a Fortran-order array
+        # and a transposed view of a (2, 4, N) array are read in place
+        image = np.random.default_rng(14).integers(0, 256, size=(30, 40), dtype=np.uint8)
+        model = ArticulatedModel.uniform(DbnSpec.chain(1), 11.0, 4.0)
+        rng = np.random.default_rng(15)
+        states = np.column_stack(
+            (rng.uniform(-8, 48, 24), rng.uniform(-8, 38, 24), rng.uniform(-3, 3, 24))
+        )
+        big = place_polygons(model, 1, states)
+        corners = {
+            "strided": big[::2],
+            "fortran": np.asfortranarray(big),
+            "coordinate-major view": np.ascontiguousarray(big.transpose(2, 1, 0)).transpose(2, 1, 0),
+        }[layout]
+        assert not corners.flags.c_contiguous
+        before = corners.copy()
+        plain = np.ascontiguousarray(corners)
+        boxes = polygon_bboxes(corners, 40, 30)
+        for got, want in zip(boxes, polygon_bboxes(plain, 40, 30)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        for got, want in zip(polygon_runs(corners, *boxes), polygon_runs(plain, *boxes)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        counts = region_counts(image, corners)
+        np.testing.assert_array_equal(counts, region_counts(image, plain))
+        np.testing.assert_array_equal(counts, mask_region_counts(image, plain))
+        np.testing.assert_array_equal(corners, before)
+        np.testing.assert_array_equal(plain, before)
+
+
+class TestImageContract:
+    """The kernel counts 2-D uint8 frames only; any other frame is rejected
+    once per ``region_counts`` call, before it can be counted wrongly."""
+
+    FRAMES = {
+        "int64 of -1": np.full((10, 12), -1, dtype=np.int64),
+        "int64 of 300": np.full((10, 12), 300, dtype=np.int64),
+        "float": np.full((10, 12), 100.0),
+        "three channels": np.zeros((10, 12, 3), dtype=np.uint8),
+    }
+    ENTRY_POINTS = {
+        "region_counts": region_counts,
+        "region_histograms": region_histograms,
+        "part_factors": lambda image, corners: part_factors(image, corners, UNIFORM, 50.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("frame", sorted(FRAMES))
+    def test_rejected(self, frame, entry):
+        corners = rect_corners(6.0, 5.0, 3.0, 2.0)[None]
+        with pytest.raises(ValueError, match="2-D uint8"):
+            self.ENTRY_POINTS[entry](self.FRAMES[frame], corners)
+
+    def test_a_uint8_view_is_accepted(self):
+        frame = np.arange(240, dtype=np.uint8).reshape(12, 20)[::2, ::2]
+        corners = rect_corners(5.0, 3.0, 5.0, 3.0)[None]
+        np.testing.assert_array_equal(region_counts(frame, corners), mask_region_counts(frame, corners))
 
 
 class TestOnePartForms:
