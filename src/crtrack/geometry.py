@@ -60,11 +60,11 @@ _CORNERS = np.array([(-0.5, -0.5), (0.5, -0.5), (0.5, 0.5), (-0.5, 0.5)])
 
 
 def _place(states: np.ndarray, lengths, widths) -> np.ndarray:
-    # Corners (N, 4, 2) of N rectangles, sizes scalar or per-row columns.
-    c, s = np.cos(states[:, 2, None]), np.sin(states[:, 2, None])
+    # Corners (..., 4, 2) at states (..., 3), sizes scalar or (..., 1) arrays.
+    c, s = np.cos(states[..., 2, None]), np.sin(states[..., 2, None])
     lx, ly = _CORNERS[:, 0] * lengths, _CORNERS[:, 1] * widths
-    x, y = states[:, 0, None], states[:, 1, None]
-    return np.stack((x + lx * c - ly * s, y + lx * s + ly * c), axis=2)
+    x, y = states[..., 0, None], states[..., 1, None]
+    return np.stack((x + lx * c - ly * s, y + lx * s + ly * c), axis=-1)
 
 
 def place_polygons(model: ArticulatedModel, k: int, states) -> np.ndarray:
@@ -170,36 +170,39 @@ def ground_truth_step(
 
 def polygon_run_batches(corners, x0, y0, nx, ny, cells=None):
     """``polygon_runs`` of N convex polygons, corners (N, m, 2), yielded as
-    (batch, lo, hi), lo and hi row-major (rows, placements), for slices of at
-    most ``cells`` cells (placements x the largest block's cells), or as one
-    batch, even for N = 0, if ``cells`` is None.  Once per call, from one
-    coordinate-major (2, m, N) copy of the corners: each edge's x1, y1,
-    dx = x2 - x1, dy = y2 - y1 and span bounds as (m, 1, N) arrays that
-    broadcast over a batch's rows, the row count and the count dtype (the
-    narrowest signed one above ``nx.max()``)."""
+    (batch, lo, hi), lo and hi row-major (ny[batch].max(), placements), for
+    slices of at most ``cells`` cells (placements x the call's largest block's
+    cells), or as one batch, even for N = 0, if ``cells`` is None.  Once per
+    call, from one coordinate-major (2, m, N) copy of the corners: each edge's
+    x1, y1, dx = x2 - x1, dy = y2 - y1 and span bounds as (m, 1, N) arrays
+    that broadcast over a batch's rows, float64 x0, y0 and nx, the row
+    centres r + 0.5 and the count dtype (narrowest signed above ``nx.max()``)."""
     n, rows, width = len(x0), int(ny.max(initial=0)), int(nx.max(initial=0))
     step = max(1, n if cells is None else cells // max(1, rows * width))
     dtype = np.min_scalar_type(-width - 1)
+    centres = np.arange(0.5, rows)[:, None]
     x1, y1 = xy = np.ascontiguousarray(corners.transpose(2, 1, 0))[:, :, None]
     x2, y2 = np.concatenate((xy[:, 1:], xy[:, :1]), axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
         spans = np.minimum(y1, y2), np.minimum(np.maximum(y1, y2), y0 + ny)
-        per_call = (x1, y1, x2 - x1, y2 - y1, *spans, x0, y0, nx)
+        per_call = (x1, y1, x2 - x1, y2 - y1, *spans, *(v.astype(float) for v in (x0, y0, nx)))
     for start in range(0, max(n, 1), step):
         batch = slice(start, start + step)
-        yield batch, *_batch_runs([v[..., batch] for v in per_call], rows, dtype)
+        yc = centres[: int(ny[batch].max(initial=0))]
+        yield batch, *_batch_runs([v[..., batch] for v in per_call], yc, dtype)
 
 
-def _batch_runs(per_call, rows, dtype):
-    # Runs (rows, placements) of one batch.  Entry (e, r, i) of its crossing
-    # columns counts the columns c < nx[i] of block i whose centre x0 + c + 0.5
-    # lies strictly left of edge e's crossing xint at row centre y0 + r + 0.5,
-    # or is 0 where the edge's half-open span misses the row or r >= ny[i]:
-    # ceil(xint - 0.5) - x0 clipped to [0, nx], exact for blocks inside
-    # [0, 2**52), 0 for a NaN crossing.  The arrays die on return: held across
+def _batch_runs(per_call, centres, dtype):
+    # Runs (rows, placements) of one batch at row centres r + 0.5 (rows, 1).
+    # Entry (e, r, i) of its crossing columns counts the columns c < nx[i] of
+    # block i whose centre x0 + c + 0.5 lies strictly left of edge e's crossing
+    # xint at row centre y0 + r + 0.5, or is 0 where the edge's half-open span
+    # misses the row or r >= ny[i]: ceil(xint - 0.5) - x0 clipped to [0, nx], a
+    # whole number (exact for blocks inside [0, 2**52), 0 for a NaN crossing),
+    # so it is cast before the span mask.  The arrays die on return: held across
     # a yield, they made the allocator trim and refault the heap every call.
     x1, y1, dx, dy, lo_y, hi_y, x0, y0, nx = per_call
-    yc = y0 + np.arange(rows)[:, None] + 0.5
+    yc = y0 + centres
     spans = lo_y <= yc
     spans &= yc < hi_y
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -213,10 +216,11 @@ def _batch_runs(per_call, rows, dtype):
         cols -= x0
         np.fmax(cols, 0, out=cols)
         np.minimum(cols, nx, out=cols)
-    cols *= spans
+    ints = cols.astype(dtype)
+    ints *= spans
     # a convex polygon's row crosses two edges or none: its run lies between
     # its two largest counts (a streaming top two)
-    s0, s1, *rest = cols.astype(dtype)
+    s0, s1, *rest = ints
     lo, hi = np.minimum(s0, s1), np.maximum(s0, s1)
     for t in rest:
         lo, hi = np.maximum(lo, np.minimum(hi, t)), np.maximum(hi, t)

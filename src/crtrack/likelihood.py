@@ -20,18 +20,19 @@ log = logging.getLogger(__name__)
 
 BIN_COUNT = 8
 
-# Most cells (particles x the largest box's cells) in a batch: this bounds
-# the crossing arrays, edges x box rows x particles; no array spans columns.
+# Most cells (particles x the call's largest box's cells) in a batch: this
+# bounds the crossing arrays, edges x the batch's tallest box's rows x
+# particles, and the (rows, particles, words) table reads; none spans columns.
 WINDOW_CELLS = 1 << 18
 
 
 def _field_ones(bits: int) -> np.ndarray:
-    """Cell values (8 * bits // 64, 256) uint64 of an intensity v for fields
+    """Cell values (256, 8 * bits // 64) uint64 of an intensity v for fields
     of ``bits`` bits, 64 // bits to a word: a one in field (v >> 5) % fields
-    of word (v >> 5) // fields."""
+    of word (v >> 5) // fields, in row v for a cell-major gather."""
     fields = 64 // bits
-    bins = np.arange(256, dtype=np.uint64) >> 5
-    words = np.arange(BIN_COUNT // fields)[:, None]
+    bins = np.arange(256, dtype=np.uint64)[:, None] >> 5
+    words = np.arange(BIN_COUNT // fields)
     return np.where(bins // fields == words, np.uint64(1) << bins % fields * bits, np.uint64(0))
 
 
@@ -48,11 +49,15 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     non-empty clipped boxes.  Each of its cells maps to a one in the bits
     field of its bin, packed ``64 // bits`` fields to a uint64 word, where
     ``bits`` in (8, 16, 32) is the narrowest width above the largest box's
-    cell count, so no field of a placement's sum can carry.  Row prefix sums
-    of the packed cells wrap modulo 2**64, which leaves every difference
-    exact, so a ``polygon_runs`` run costs two table reads.  The boxes and
-    the run batches (``WINDOW_CELLS``) get a transposed view of one (2, 4, N)
-    coordinate-major copy of the corners, which they read without a copy.
+    cell count, so no field of a placement's sum can carry.  The table is
+    cell-major, (h * w + 1, words): one ``np.take`` of ``_field_ones`` rows
+    after a leading zero cell, then one running sum over every cell of the
+    window, row after row.  Packing is linear modulo 2**64, so entry j is the
+    packed sum of the first j cells and a ``polygon_runs`` run's packed sum is
+    the difference of two entries, however often the sum before it wrapped;
+    a run costs two (words,) reads.  The boxes and the run batches
+    (``WINDOW_CELLS``) get a transposed view of one (2, 4, N) coordinate-major
+    copy of the corners, which they read without a copy.
     """
     if getattr(image, "dtype", None) != np.uint8 or image.ndim != 2:
         raise ValueError("expected a 2-D uint8 image")
@@ -69,20 +74,20 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     w, h = (x0 + nx)[boxed].max() - left, (y0 + ny)[boxed].max() - top
     bits = next(b for b in _FIELD_ONES if cells.max() < 1 << b)
     ones = _FIELD_ONES[bits]
-    table = np.zeros((len(ones), h, w + 1), dtype=np.uint64)
-    np.cumsum(ones[:, image[top : top + h, left : left + w]], axis=2, out=table[..., 1:])
-    flat = table.reshape(len(ones), -1)
+    flat = np.zeros((h * w + 1, ones.shape[1]), dtype=np.uint64)
+    np.take(ones, image[top : top + h, left : left + w].ravel(), axis=0, out=flat[1:], mode="clip")
+    np.cumsum(flat, axis=0, out=flat)
     shifts = np.arange(0, 64, bits, dtype=np.uint64)
     mask = np.uint64((1 << bits) - 1)
     for batch, lo, hi in polygon_run_batches(corners, x0, y0, nx, ny, WINDOW_CELLS):
-        # row r of placement i starts at (y0 + r - top, x0 - left) of the table;
+        # row r of placement i starts at cell (y0 + r - top) * w + x0 - left;
         # a padded row or empty box has lo == hi, so any clipped index reads 0
-        stride = np.arange(0, len(lo) * (w + 1), w + 1)[:, None]
-        first = (y0[batch] - top) * (w + 1) + x0[batch] - left + stride
-        packed = np.take(flat, first + hi, axis=1, mode="clip")
-        packed -= np.take(flat, first + lo, axis=1, mode="clip")
-        sums = packed.sum(axis=1)
-        counts[batch] = (sums.T[..., None] >> shifts & mask).reshape(-1, BIN_COUNT)
+        stride = np.arange(0, len(lo) * w, w)[:, None]
+        first = (y0[batch] - top) * w + x0[batch] - left + stride
+        packed = np.take(flat, first + hi, axis=0, mode="clip")
+        packed -= np.take(flat, first + lo, axis=0, mode="clip")
+        sums = packed.sum(axis=0)
+        counts[batch] = (sums[..., None] >> shifts & mask).reshape(-1, BIN_COUNT)
     return counts
 
 

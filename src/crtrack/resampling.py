@@ -371,11 +371,11 @@ def assemble_combinatorial(
     donors: dict[int, np.ndarray],
 ) -> np.ndarray:
     """States for a batch of (group, donors) draws: the processed fragment
-    comes from the chosen group, each current-stage part plus its pending
-    descendant fragment from that part's donor."""
-    parts, prev_cols, blocks = _stage_columns(dbn, stage)
-    states = np.empty((len(chosen), pset.part_count, 3))
-    states[:, prev_cols] = pset.states[groups.reps[chosen][:, None], prev_cols[None, :]]
+    comes from the chosen group (whole rows of its representative are taken,
+    then overwritten), each current-stage part plus its pending descendant
+    fragment from that part's donor."""
+    parts, _, blocks = _stage_columns(dbn, stage)
+    states = pset.states[groups.reps[chosen]]
     for k, cols in zip(parts, blocks):
         states[:, cols] = pset.states[donors[k][:, None], cols[None, :]]
     return states

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dbn import DbnSpec, Partition, check_fields, compute_partition
-from .geometry import ArticulatedModel, ObjectState, estimation_error, place_polygons, wrap_angle
+from .geometry import ArticulatedModel, ObjectState, _place, estimation_error, wrap_angle
 from .likelihood import init_references, part_factors
 
 # One-part forms of the scoring kernel, importable here because the
@@ -136,9 +136,11 @@ def correct_part(
 ) -> np.ndarray:
     """Likelihood factors exp(-lam d^2) (N, len(parts)) of ``parts`` for
     every particle, in one ``part_factors`` pass over part-major placements
-    (so a raster batch mostly holds one part's window)."""
-    corners = np.stack([place_polygons(model, k, states[:, k - 1]) for k in parts])
-    return part_factors(frame, corners, refs[[k - 1 for k in parts], None], cfg.lam).T
+    from one ``_place`` call (so a raster batch mostly holds one part's window)."""
+    cols = np.array(parts) - 1
+    sizes = np.array([(model.lengths[k - 1], model.widths[k - 1]) for k in parts]).T
+    corners = _place(states.transpose(1, 0, 2)[cols], *sizes[..., None, None])
+    return part_factors(frame, corners, refs[cols, None], cfg.lam).T
 
 
 def ps_step(
@@ -245,12 +247,16 @@ def track_sequence(
     pose = (model.part_count, 3)
     if np.shape(initial) != pose:
         raise ValueError(f"initial pose shape {np.shape(initial)} != {pose} (parts, 3)")
+    if not np.isfinite(np.asarray(initial, dtype=float)).all():
+        raise ValueError("initial pose is not finite")
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (len(frames), *pose):
             raise ValueError(
                 f"ground truth shape {truth.shape} != {(len(frames), *pose)} (frames, parts, 3)"
             )
+        if not np.isfinite(truth).all():
+            raise ValueError("ground truth is not finite")
     start = time.perf_counter()
     partition = partition_for(model.spec, cfg.partition_mode)
     refs = init_references(frames[0], model, initial)

@@ -354,9 +354,9 @@ def counted_batches(draw):
 
 
 class TestRowPrefixTable:
-    """``region_counts`` reads each row's run from packed row prefix sums
-    over the union of the boxes; the oracle ``mask_region_counts`` masks a
-    shared window.  They agree bit for bit."""
+    """``region_counts`` reads each row's run from one packed running sum
+    over the cells of the union of the boxes; the oracle
+    ``mask_region_counts`` masks a shared window.  They agree bit for bit."""
 
     @given(counted_batches(), st.sampled_from((1, 40, 500, WINDOW_CELLS)))
     @settings(max_examples=200, deadline=None)
@@ -401,6 +401,26 @@ class TestRowPrefixTable:
         np.testing.assert_array_equal(got, mask_region_counts(image, corners))
         np.testing.assert_array_equal(got[:, value >> 5], [64, 64])
 
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_a_running_sum_that_wraps_over_many_rows_stays_exact(self, noise):
+        # 8-bit fields (boxes under 256 cells) over a 300 x 700 window of
+        # intensity 255: each cell adds 2**56, so the running sum wraps 2**64
+        # every 256 cells, hundreds of times before the last rows are read
+        rng = np.random.default_rng(14)
+        image = np.full((300, 700), 255, dtype=np.uint8)
+        if noise:
+            image[rng.random(image.shape) < 0.3] = rng.integers(0, 255, dtype=np.uint8)
+        centres = [(x, y) for x in (4.0, 350.5, 695.0) for y in (3.5, 150.0, 296.0)]
+        corners = np.stack([rect_corners(x, y, 4.5, 3.5, 0.4 * i) for i, (x, y) in enumerate(centres)])
+        x0, y0, nx, ny = polygon_bboxes(corners, 700, 300)
+        assert (nx * ny).max() < 256
+        assert (x0 + nx).max() - x0.min() == 700 and (y0 + ny).max() - y0.min() == 300
+        got = region_counts(image, corners)
+        np.testing.assert_array_equal(got, mask_region_counts(image, corners))
+        if not noise:
+            np.testing.assert_array_equal(got[:, 7], got.sum(axis=1))
+            assert (got[:, 7] > 40).all()
+
     def test_boxes_in_opposite_corners_span_the_frame(self):
         image = np.random.default_rng(11).integers(0, 256, size=(40, 60), dtype=np.uint8)
         corners = np.stack((rect_corners(1.0, 1.5, 3.0, 2.5, 0.3), rect_corners(58.5, 38.0, 2.5, 3.0, -0.2)))
@@ -429,14 +449,15 @@ class TestRowPrefixTable:
 
 class TestRunBatches:
     """``region_counts`` takes its boxes and run batches from one
-    coordinate-major copy of the corners; the edge constants, the row count
-    and the dtype are taken once per call and sliced for every batch."""
+    coordinate-major copy of the corners; the edge constants, the row centres
+    and the dtype are taken once per call and sliced for every batch, and
+    each batch computes only its own tallest box's rows."""
 
     def test_a_short_last_batch_of_small_boxes_counts_exactly(self, monkeypatch):
         # six large boxes then two small ones, three boxes a batch: the last
-        # batch holds two placements, fewer than the others, and fills only
-        # the top rows of the call's row count; no value of an earlier batch
-        # may reach its counts
+        # batch holds two placements, fewer than the others, and computes
+        # only its own tallest box's rows; no value of an earlier batch may
+        # reach its counts
         image = np.random.default_rng(13).integers(0, 256, size=(40, 50), dtype=np.uint8)
         large = [rect_corners(8.0 + 6 * i, 10.0 + 3 * i, 4.5, 3.5, 0.3 * i) for i in range(6)]
         small = [rect_corners(30.0, 32.0, 1.5, 1.0), rect_corners(12.0, 34.0, 1.0, 2.0, 0.7)]
@@ -455,11 +476,10 @@ class TestRunBatches:
 
         monkeypatch.setattr(likelihood, "polygon_run_batches", recording)
         got = region_counts(image, corners)
-        assert seen == [
-            ((0, 3), (rows, 3), (rows, 3)),
-            ((3, 6), (rows, 3), (rows, 3)),
-            ((6, 8), (rows, 2), (rows, 2)),
-        ]
+        bounds = ((0, 3), (3, 6), (6, 8))
+        shapes = [(int(ny[a:b].max()), b - a) for a, b in bounds]
+        assert seen == [(ab, shape, shape) for ab, shape in zip(bounds, shapes)]
+        assert int(ny[6:].max()) < rows
         want = mask_region_counts(image, corners)
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)

@@ -254,6 +254,41 @@ class TestCorrect:
         per_batch = WINDOW_CELLS // (nx.max() * ny.max())
         assert n <= per_batch < len(corners)
 
+    def test_one_placement_call_places_every_part_at_its_own_size(self, monkeypatch):
+        """The (S, N, 4, 2) corners that one stage's ``correct_part`` scores
+        are per-part ``place_polygons`` stacked part-major, and its factors
+        are per-part ``part_factors``, bit for bit, when no two parts share
+        a length or a width."""
+        spec = DbnSpec.star(3, 2)
+        lengths = (9.0, 11.5, 14.0, 7.25, 16.5, 12.75, 10.25)
+        widths = (4.0, 3.5, 5.25, 6.0, 2.75, 4.5, 3.0)
+        model = ArticulatedModel(spec, lengths, widths)
+        width, height, n = 120, 100, 30
+        pose = default_pose(model, (width / 2.0, height / 2.0))
+        frame = render_frame(model, pose, width, height)
+        refs = init_references(frame, model, pose)
+        rng = np.random.default_rng(5)
+        states = np.repeat(pose[None], n, axis=0)
+        states[:, :, :2] += rng.normal(0.0, 3.0, (n, 7, 2))
+        states[:, :, 2] += rng.normal(0.0, 0.3, (n, 7))
+        scored = []
+        original = tracker.part_factors
+
+        def recording(image, corners, *args):
+            scored.append(corners)
+            return original(image, corners, *args)
+
+        monkeypatch.setattr(tracker, "part_factors", recording)
+        cfg = TrackerConfig(particle_count=n)
+        for parts in compute_partition(spec).steps:
+            got = correct_part(states, parts, frame, refs, model, cfg)
+            want = np.stack([place_polygons(model, k, states[:, k - 1]) for k in parts])
+            np.testing.assert_array_equal(scored.pop().view(np.int64), want.view(np.int64))
+            for j, k in enumerate(parts):
+                factors = part_factors(frame, want[j], refs[k - 1], cfg.lam)
+                np.testing.assert_array_equal(got[:, j].view(np.int64), factors.view(np.int64))
+        assert len(set(lengths)) == len(set(widths)) == 7
+
     def test_one_scoring_call_per_stage(self, monkeypatch):
         calls = []
         original = tracker.correct_part
@@ -469,6 +504,19 @@ class TestTrackSequence:
         frames[2] = make(frames[2])
         with pytest.raises(ValueError, match="frame 2 is not a 2-D uint8 array"):
             track_sequence(frames, pose, model, TrackerConfig(particle_count=3))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argument", ["initial pose", "ground truth"])
+    def test_a_non_finite_pose_raises_before_tracking(self, untracked, argument, value):
+        # a NaN pose would track to the end with NaN estimates and errors
+        model, pose, frames = self.static_sequence(frames=5)
+        pose, truth = pose.copy(), np.stack([pose] * 5)
+        if argument == "initial pose":
+            pose[3, 1] = value
+        else:
+            truth[4, 2, 2] = value
+        with pytest.raises(ValueError, match=f"{argument} is not finite"):
+            track_sequence(frames, pose, model, TrackerConfig(particle_count=3), truth=truth)
 
     @pytest.mark.parametrize("name", RESAMPLER_NAMES)
     def test_zero_noise_static_scene_gives_zero_error(self, name):
