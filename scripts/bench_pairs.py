@@ -44,10 +44,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_side(checkout: Path, workload: str, args) -> dict:
-    """The result object (last stdout line) of one benchmark run."""
+def run_side(checkout: Path, workload: str, args, trace: int = 0) -> dict:
+    """The result object (last stdout line) of one benchmark run at
+    ``args.seed`` and ``args.seconds``, traced if ``trace`` is 1."""
     cmd = [sys.executable, "benchmark/run.py", "--workload", workload,
-           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", "0"]
+           "--seed", str(args.seed), "--seconds", str(args.seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode not in (0, 1) or not proc.stdout.strip():
         raise SystemExit(f"{checkout}: benchmark exited {proc.returncode}: {proc.stderr.strip()}")

@@ -70,7 +70,10 @@ class DbnSpec:
     observation of each part depends on that part alone, so this tuple is the
     whole structure.  The count and parent ids are ``checked`` as the spec is
     built (BadIndex): the partition cache matches specs by equality, and
-    ``True == 1.0 == 1``.
+    ``True == 1.0 == 1``.  The links are then checked to form a forest over
+    1..P, so every spec is one: EmptyModel for P < 1, BadIndex for a parents
+    tuple of the wrong length or an id outside 1..P, CycleDetected when
+    following parent links revisits a part (a self-loop counts).
     """
 
     part_count: int
@@ -83,6 +86,22 @@ class DbnSpec:
             for k, parent in enumerate(self.parents, start=1)
         )
         object.__setattr__(self, "parents", parents)
+        p = self.part_count
+        if p < 1:
+            raise EmptyModel(f"part_count must be >= 1, got {p}")
+        if len(parents) != p:
+            raise BadIndex(f"expected {p} parent entries, got {len(parents)}")
+        for k, parent in enumerate(parents, start=1):
+            if parent is not None and not 1 <= parent <= p:
+                raise BadIndex(f"parent of part {k} out of range: {parent}")
+        for k in self.part_ids:
+            seen = set()
+            node: Optional[int] = k
+            while node is not None:
+                if node in seen:
+                    raise CycleDetected(f"parent links cycle through part {node}")
+                seen.add(node)
+                node = parents[node - 1]
 
     @classmethod
     def chain(cls, part_count: int) -> "DbnSpec":
@@ -111,32 +130,6 @@ class DbnSpec:
         return tuple(c for c in self.part_ids if self.parents[c - 1] == k)
 
 
-def validate_structure(spec: DbnSpec) -> None:
-    """Check that the within-slice links form a forest over 1..P.
-
-    Raises EmptyModel for P < 1, BadIndex for ids outside 1..P or a parents
-    tuple of the wrong length, CycleDetected when following parent links
-    revisits a part (a self-loop counts).
-    """
-    p = spec.part_count
-    if p < 1:
-        raise EmptyModel(f"part_count must be >= 1, got {p}")
-    if len(spec.parents) != p:
-        raise BadIndex(f"expected {p} parent entries, got {len(spec.parents)}")
-    for k in spec.part_ids:
-        parent = spec.parents[k - 1]
-        if parent is not None and not 1 <= parent <= p:
-            raise BadIndex(f"parent of part {k} out of range: {parent}")
-    for k in spec.part_ids:
-        seen = set()
-        node: Optional[int] = k
-        while node is not None:
-            if node in seen:
-                raise CycleDetected(f"parent links cycle through part {node}")
-            seen.add(node)
-            node = spec.parents[node - 1]
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered processing steps: step j holds the part ids whose parents were
@@ -148,10 +141,6 @@ class Partition:
     def num_steps(self) -> int:
         return len(self.steps)
 
-    @property
-    def part_count(self) -> int:
-        return sum(len(s) for s in self.steps)
-
     def processed_through(self, j: int) -> frozenset[int]:
         """Parts placed in steps 1..j (empty for j = 0)."""
         return frozenset(k for s in self.steps[:j] for k in s)
@@ -159,7 +148,7 @@ class Partition:
 
 def _ancestors(spec: DbnSpec, k: int):
     """Parts strictly above part k in the within-slice forest, nearest
-    first; the links must form a forest (``validate_structure``)."""
+    first; every ``DbnSpec`` is a forest, so the walk ends at a root."""
     node = spec.parents[k - 1]
     while node is not None:
         yield node
@@ -175,7 +164,6 @@ def compute_partition(spec: DbnSpec) -> Partition:
     no information about each other, which is what lets them be handled
     together downstream.
     """
-    validate_structure(spec)
     depths = [len(tuple(_ancestors(spec, k))) for k in spec.part_ids]
     steps = [[k for k in spec.part_ids if depths[k - 1] == d] for d in range(max(depths) + 1)]
     return Partition(tuple(map(tuple, steps)))
@@ -183,7 +171,6 @@ def compute_partition(spec: DbnSpec) -> Partition:
 
 def descendants_within_slice(spec: DbnSpec, k: int) -> frozenset[int]:
     """All parts strictly below part k in the within-slice forest."""
-    validate_structure(spec)
     if not 1 <= k <= spec.part_count:
         raise BadIndex(f"part id out of range: {k}")
     return frozenset(c for c in spec.part_ids if k in _ancestors(spec, c))

@@ -264,11 +264,14 @@ def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.
 def polygon_bboxes(corners: np.ndarray, width: int, height: int):
     """Pixel blocks covering N polygons, corners (N, m, 2), clipped to the
     canvas: int arrays (x0, y0, nx, ny).  A polygon wholly off the canvas
-    gets an empty block.  The min and max read m contiguous rows of a
-    coordinate-major (2, m, N) copy, or of the array a transposed view is of."""
+    gets an empty block; a NaN or infinite corner raises ValueError.  The min
+    and max read m contiguous rows of a coordinate-major (2, m, N) copy, or of
+    the array a transposed view is of."""
     xy = np.ascontiguousarray(corners.transpose(2, 1, 0))
     lo = np.floor(xy.min(axis=1) - 0.5)
     hi = np.ceil(xy.max(axis=1) + 0.5)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError("polygon corners must be finite")
     size = np.array([[width], [height]])
     start = np.minimum(np.maximum(lo, 0), size)
     stop = np.minimum(hi, size - 1)

@@ -321,8 +321,7 @@ def combinatorial_draw(
     """
     groups = group_compatibility(pset, dbn, stage)
     logw = group_log_weights(groups)
-    mass = np.exp(logw - logw[np.isfinite(logw)].max())
-    mass[~np.isfinite(logw)] = 0.0
+    mass = np.exp(logw - logw.max())
     n = pset.n if size is None else int(size)
     chosen = multinomial_draw(mass, rng, size=n)
     by_group = np.argsort(chosen, kind="stable")

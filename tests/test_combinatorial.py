@@ -155,6 +155,22 @@ class TestGroupMass:
         with pytest.raises(DegenerateWeights):
             group_log_weights(group_compatibility(pset, spec, stage))
 
+    @pytest.mark.parametrize("value", [math.nan, -1.0], ids=["nan", "negative"])
+    def test_invalid_stage_factor_names_its_part(self, five_part_instance, value):
+        pset, spec, stage = five_part_instance
+        pset = pset.copy()
+        pset.part_weights[1, 4] = value  # part 5 is scored at stage 3
+        with pytest.raises(DegenerateWeights, match="^part 5 weights must be finite and nonnegative$"):
+            group_compatibility(pset, spec, stage)
+
+    def test_overflowing_pool_sum_raises(self):
+        # four finite factors of one pool whose sum overflows to inf
+        pset = make_particle_set(DbnSpec.chain(1), ((0, 0, 0, 0),), np.full((4, 1), 1e308))
+        groups = group_compatibility(pset, DbnSpec.chain(1), 1)
+        assert groups.pools[1][2].tolist() == [math.inf]
+        with pytest.raises(DegenerateWeights, match="^part 1 has invalid pool weight sums$"):
+            group_log_weights(groups)
+
 
 class TestEnumeration:
     """The rearrangement ensemble, enumerated by the oracle, and the library

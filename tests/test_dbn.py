@@ -13,7 +13,6 @@ from crtrack.dbn import (
     StructureError,
     compute_partition,
     descendants_within_slice,
-    validate_structure,
 )
 from crtrack.harness import ConfigError, SequenceSpec
 from crtrack.tracker import TrackerConfig
@@ -34,7 +33,6 @@ class TestStructure:
     def test_chain(self):
         spec = DbnSpec.chain(4)
         assert spec.parents == (None, 1, 2, 3)
-        validate_structure(spec)
 
     def test_star_ids_arm_by_arm(self):
         spec = DbnSpec.star(2, 3)
@@ -47,32 +45,47 @@ class TestStructure:
 
     def test_empty_model(self):
         with pytest.raises(EmptyModel):
-            validate_structure(DbnSpec(0, ()))
+            DbnSpec(0, ())
 
     def test_parent_out_of_range(self):
         with pytest.raises(BadIndex):
-            validate_structure(DbnSpec(2, (None, 7)))
+            DbnSpec(2, (None, 7))
 
     def test_wrong_parent_arity(self):
         with pytest.raises(BadIndex):
-            validate_structure(DbnSpec(3, (None, 1)))
+            DbnSpec(3, (None, 1))
 
     def test_self_loop(self):
         with pytest.raises(CycleDetected):
-            validate_structure(DbnSpec(2, (None, 2)))
+            DbnSpec(2, (None, 2))
 
     def test_two_cycle(self):
         with pytest.raises(CycleDetected):
-            validate_structure(DbnSpec(3, (None, 3, 2)))
+            DbnSpec(3, (None, 3, 2))
 
     def test_errors_are_value_errors(self):
         assert issubclass(StructureError, ValueError)
         with pytest.raises(StructureError):
-            validate_structure(DbnSpec(2, (None, 0)))
+            DbnSpec(2, (None, 0))
+
+    @pytest.mark.parametrize(
+        "part_count, parents, error, message",
+        [
+            (0, (), EmptyModel, "part_count must be >= 1, got 0"),
+            (3, (None, 1), BadIndex, "expected 3 parent entries, got 2"),
+            (3, (None, 1, 4), BadIndex, "parent of part 3 out of range: 4"),
+            (3, (None, 3, 3), CycleDetected, "parent links cycle through part 3"),
+            (4, (None, 3, 4, 2), CycleDetected, "parent links cycle through part 2"),
+        ],
+    )
+    def test_a_spec_that_is_not_a_forest_is_never_built(self, part_count, parents, error, message):
+        with pytest.raises(error, match=f"^{message}$") as info:
+            DbnSpec(part_count, parents)
+        assert type(info.value) is error
 
     @given(tree_specs())
     def test_lower_id_parents_always_validate(self, spec):
-        validate_structure(spec)
+        """``tree_specs`` builds the spec, and building checks it."""
 
     def test_bool_part_count(self):
         compute_partition(DbnSpec.chain(1))
@@ -88,7 +101,6 @@ class TestStructure:
 
     def test_numpy_integer_parent(self):
         spec = DbnSpec(2, (None, np.int64(1)))
-        validate_structure(spec)
         assert compute_partition(spec) == compute_partition(DbnSpec(2, (None, 1)))
 
 

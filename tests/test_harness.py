@@ -202,6 +202,22 @@ class TestGenerateAndLoad:
             write_pgm(tmp_path / f"frame_{t:04d}.pgm", np.full((1, 1), t % 256, dtype=np.uint8))
         assert [int(f[0, 0]) for f in load_frames(tmp_path)] == [t % 256 for t in order]
 
+    def test_truth_row_with_another_part_count_raises(self, tmp_path):
+        out = generate_sequence(tiny_spec(), tmp_path / "seq")
+        truth = out / "truth.csv"
+        lines = truth.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].rsplit(",", 3)[0] + "\n"  # row 2 loses its last part
+        truth.write_text("".join(lines))
+        with pytest.raises(ConfigError, match="truth.csv, row 2: 2 parts, earlier rows have 3$"):
+            load_truth(truth)
+
+    def test_blank_truth_rows_are_skipped(self, tmp_path):
+        out = generate_sequence(tiny_spec(), tmp_path / "seq")
+        truth = out / "truth.csv"
+        expected = load_truth(truth)
+        truth.write_text("\n" + "\n".join(truth.read_text().splitlines(keepends=True)) + "\n")
+        np.testing.assert_array_equal(load_truth(truth), expected)
+
     def test_missing_inputs_raise_config_errors(self, tmp_path):
         with pytest.raises(ConfigError):
             load_frames(tmp_path)
@@ -420,6 +436,14 @@ class TestCsvRoundTrip:
         back = read_results_csv(path).rows[0]
         assert back.mean_error_px == 0.1 + 0.2
         assert back.total_seconds == 3.3333333333333335
+
+    def test_blank_rows_are_skipped(self, tmp_path):
+        report = fake_report()
+        path = tmp_path / "results.csv"
+        write_results_csv(report, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text(lines[0] + "\n".join(lines[1:]) + "\n")
+        assert read_results_csv(path).rows == report.rows
 
     def test_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"

@@ -547,6 +547,27 @@ class TestImageContract:
         np.testing.assert_array_equal(region_counts(frame, corners), mask_region_counts(frame, corners))
 
 
+class TestCornerContract:
+    """A NaN or infinite corner is rejected once per call by the boxes, so the
+    kernel never casts it to a block or clips it to the canvas."""
+
+    ENTRY_POINTS = {
+        "polygon_bboxes": lambda image, corners: polygon_bboxes(corners, *image.shape[::-1]),
+        "region_counts": region_counts,
+        "part_factors": lambda image, corners: part_factors(image, corners, UNIFORM, 50.0),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_rejected(self, value, axis, entry):
+        image = np.full((10, 12), 100, dtype=np.uint8)
+        corners = np.stack([rect_corners(6.0, 5.0, 3.0, 2.0)] * 3)
+        corners[1, 2, axis] = value
+        with pytest.raises(ValueError, match="polygon corners must be finite"):
+            self.ENTRY_POINTS[entry](image, corners)
+
+
 class TestOnePartForms:
     """The one-part names are the batched kernel with N=1, not a second path."""
 
