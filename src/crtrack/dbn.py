@@ -111,7 +111,14 @@ class DbnSpec:
     @classmethod
     def star(cls, arm_count: int, arm_length: int) -> "DbnSpec":
         """One central part (id 1) with ``arm_count`` serial arms of
-        ``arm_length`` parts each, ids assigned arm by arm."""
+        ``arm_length`` parts each, ids assigned arm by arm; StructureError
+        if either is not an integer, ``arm_count`` < 0 or an arm is empty."""
+        arm_count = checked(arm_count, int, "arm_count", StructureError)
+        arm_length = checked(arm_length, int, "arm_length", StructureError)
+        if arm_count < 0:
+            raise StructureError(f"arm_count must be >= 0, got {arm_count}")
+        if arm_count and arm_length < 1:
+            raise StructureError(f"arm_length must be >= 1, got {arm_length}")
         parents: list[Optional[int]] = [None]
         for a in range(arm_count):
             first = 2 + a * arm_length

@@ -169,10 +169,11 @@ def ground_truth_step(
 
 
 def polygon_run_batches(corners, x0, y0, nx, ny, cells=None):
-    """``polygon_runs`` of N convex polygons, corners (N, m, 2), yielded as
-    (batch, lo, hi), lo and hi row-major (ny[batch].max(), placements), for
-    slices of at most ``cells`` cells (placements x the call's largest block's
-    cells), or as one batch, even for N = 0, if ``cells`` is None.  Once per
+    """Runs of N convex polygons, corners (N, m, 2), yielded as (batch, lo,
+    hi), row-major (ny[batch].max(), placements): row r of placement i fills
+    the block columns [lo[r, i], hi[r, i]) under the ``polygon_fills`` rule.
+    Batches hold at most ``cells`` cells (placements x the call's largest
+    block's cells); with ``cells`` None, one batch, even for N = 0.  Once per
     call, from one coordinate-major (2, m, N) copy of the corners: each edge's
     x1, y1, dx = x2 - x1, dy = y2 - y1 and span bounds as (m, 1, N) arrays
     that broadcast over a batch's rows, float64 x0, y0 and nx, the row
@@ -227,18 +228,9 @@ def _batch_runs(per_call, centres, dtype):
     return lo, hi
 
 
-def polygon_runs(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
-    """Runs (lo, hi), each (N, max ny), of N convex polygons: row r of
-    polygon i fills the block columns [lo[i, r], hi[i, r]) under the
-    ``polygon_fills`` rule; padded rows are empty.  A concave polygon loses
-    its lower runs.  One batch of ``polygon_run_batches``, transposed."""
-    ((_, lo, hi),) = polygon_run_batches(corners, x0, y0, nx, ny)
-    return lo.T, hi.T
-
-
-def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
-    """Scanline fills (N, max ny, max nx) of N convex polygons at once, and
-    each polygon's pixel count, from their ``polygon_runs``.
+def polygon_fills(corners, x0, y0, nx, ny) -> np.ndarray:
+    """Scanline fills (N, max ny, max nx) of N convex polygons at once, from
+    the one batch of their ``polygon_run_batches``.
 
     Entry i covers the pixel block of size (ny[i], nx[i]) at (x0[i], y0[i])
     in its top-left corner.  A pixel belongs to a polygon iff its centre
@@ -249,16 +241,15 @@ def polygon_fills(corners, x0, y0, nx, ny) -> tuple[np.ndarray, np.ndarray]:
     fill.  Padded cells are never set: ``polygon_run_batches`` gives their
     rows no crossing and clips every crossing to the block's width.
     """
-    lo, hi = polygon_runs(corners, x0, y0, nx, ny)
+    ((_, lo, hi),) = polygon_run_batches(corners, x0, y0, nx, ny)
     c = np.arange(int(nx.max(initial=0)), dtype=lo.dtype)
-    mask = (c >= lo[..., None]) & (c < hi[..., None])
-    return mask, (hi - lo).sum(axis=1)
+    return (c >= lo.T[..., None]) & (c < hi.T[..., None])
 
 
 def polygon_mask(corners: np.ndarray, x0: int, y0: int, nx: int, ny: int) -> np.ndarray:
     """Fill (ny, nx) of one polygon over the block at (x0, y0):
     ``polygon_fills`` for one polygon."""
-    return polygon_fills(corners[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0][0]
+    return polygon_fills(corners[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0]
 
 
 def polygon_bboxes(corners: np.ndarray, width: int, height: int):
@@ -304,14 +295,16 @@ def render_frame(model: ArticulatedModel, state: ObjectState, width: int, height
     p = model.part_count
     corners = object_corners(model, state)
     x0, y0, nx, ny = polygon_bboxes(corners, width, height)
-    masks, _ = polygon_fills(corners, x0, y0, nx, ny)
+    masks = polygon_fills(corners, x0, y0, nx, ny)
     for i in range(p):
         block = img[y0[i] : y0[i] + ny[i], x0[i] : x0[i] + nx[i]]
         block[masks[i, : ny[i], : nx[i]]] = part_intensity(i + 1, p)
     return img
 
 
-def estimation_error(model: ArticulatedModel, estimate: ObjectState, truth: ObjectState) -> float:
-    """Sum over parts and their four corners of Euclidean corner distances."""
+def estimation_error(model: ArticulatedModel, estimate: ObjectState, truth: ObjectState):
+    """Sum over parts and their four corners of Euclidean corner distances,
+    one per pose of stacked poses (..., P, 3), a float for one pose (P, 3)."""
     diff = object_corners(model, estimate) - object_corners(model, truth)
-    return float(np.sqrt((diff * diff).sum(axis=2)).sum())
+    errors = np.sqrt((diff * diff).sum(axis=-1)).sum(axis=(-2, -1))
+    return errors if errors.ndim else float(errors)

@@ -53,11 +53,11 @@ def region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     cell-major, (h * w + 1, words): one ``np.take`` of ``_field_ones`` rows
     after a leading zero cell, then one running sum over every cell of the
     window, row after row.  Packing is linear modulo 2**64, so entry j is the
-    packed sum of the first j cells and a ``polygon_runs`` run's packed sum is
-    the difference of two entries, however often the sum before it wrapped;
-    a run costs two (words,) reads.  The boxes and the run batches
-    (``WINDOW_CELLS``) get a transposed view of one (2, 4, N) coordinate-major
-    copy of the corners, which they read without a copy.
+    packed sum of the first j cells, and the packed sum of a row-major run of
+    ``polygon_run_batches`` is the difference of two entries, however often
+    the sum before it wrapped; a run costs two (words,) reads.  The boxes and
+    the run batches (``WINDOW_CELLS``) get a transposed view of one (2, 4, N)
+    coordinate-major copy of the corners, which they read without a copy.
     """
     if getattr(image, "dtype", None) != np.uint8 or image.ndim != 2:
         raise ValueError("expected a 2-D uint8 image")

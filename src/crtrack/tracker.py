@@ -244,6 +244,8 @@ def track_sequence(
     for t, frame in enumerate(frames):
         if np.ndim(frame) != 2 or getattr(frame, "dtype", None) != np.uint8:
             raise ValueError(f"frame {t} is not a 2-D uint8 array")
+        if frame.shape != frames[0].shape:
+            raise ValueError(f"frame {t} has shape {frame.shape}, frame 0 has {frames[0].shape}")
     pose = (model.part_count, 3)
     if np.shape(initial) != pose:
         raise ValueError(f"initial pose shape {np.shape(initial)} != {pose} (parts, 3)")
@@ -268,14 +270,9 @@ def track_sequence(
         estimates.append(estimate(pset))
         resample_seconds += spent
     stacked = np.stack(estimates)
-    errors = None
-    if truth is not None:
-        errors = np.array(
-            [estimation_error(model, stacked[t], truth[t]) for t in range(len(frames))]
-        )
     return TrackResult(
         estimates=stacked,
-        errors=errors,
+        errors=None if truth is None else estimation_error(model, stacked, truth),
         resample_invocations=partition.num_steps * (len(frames) - 1),
         resample_seconds=resample_seconds,
         total_seconds=time.perf_counter() - start,

@@ -146,9 +146,9 @@ def mask_region_counts(image: np.ndarray, corners: np.ndarray) -> np.ndarray:
     step = max(1, likelihood.WINDOW_CELLS // max(1, wy * wx))
     for lo in range(0, n, step):
         batch = slice(lo, lo + step)
-        mask, sizes = polygon_fills(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
+        mask = polygon_fills(corners[batch], x0[batch], y0[batch], nx[batch], ny[batch])
         values = windows[y0[batch], x0[batch], : mask.shape[1], : mask.shape[2]][mask] >> 5
-        keys = np.repeat(np.arange(len(mask)) * BIN_COUNT, sizes)
+        keys = np.repeat(np.arange(len(mask)) * BIN_COUNT, mask.sum(axis=(1, 2)))
         keys += values
         counts[batch] = np.bincount(keys, minlength=len(mask) * BIN_COUNT).reshape(-1, BIN_COUNT)
     return counts

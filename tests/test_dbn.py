@@ -43,6 +43,25 @@ class TestStructure:
         spec = DbnSpec.star(4, 1)
         assert spec.parents == (None, 1, 1, 1, 1)
 
+    @pytest.mark.parametrize(
+        "arms, length, message",
+        [
+            (2, 0, "arm_length must be >= 1, got 0"),
+            (3, -1, "arm_length must be >= 1, got -1"),
+            (-1, 3, "arm_count must be >= 0, got -1"),
+            (True, 2, "arm_count must be an integer, not True"),
+            (2.5, 1, "arm_count must be an integer, not 2.5"),
+        ],
+        ids=["zero-length", "negative-length", "negative-count", "bool-count", "float-count"],
+    )
+    def test_star_checks_its_own_arguments(self, arms, length, message):
+        with pytest.raises(StructureError) as info:
+            DbnSpec.star(arms, length)
+        assert str(info.value) == message
+
+    def test_star_without_arms_is_one_part(self):
+        assert DbnSpec.star(0, 0) == DbnSpec(1, (None,))
+
     def test_empty_model(self):
         with pytest.raises(EmptyModel):
             DbnSpec(0, ())

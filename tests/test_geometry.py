@@ -17,7 +17,7 @@ from crtrack.geometry import (
     place_polygons,
     polygon_bboxes,
     polygon_fills,
-    polygon_runs,
+    polygon_run_batches,
     render_frame,
     wrap_angle,
 )
@@ -41,7 +41,7 @@ def base_midpoint(model, k, state_row):
 
 def mask_of_one(corners, x0, y0, nx, ny):
     """``polygon_fills`` of one polygon on one block."""
-    return polygon_fills(np.asarray(corners)[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0][0]
+    return polygon_fills(np.asarray(corners)[None], *(np.array([v]) for v in (x0, y0, nx, ny)))[0]
 
 
 def bbox_of_one(corners, width, height):
@@ -429,8 +429,7 @@ class TestBatchedGeometry:
     def test_masks_and_bboxes_match_the_scalar_fill(self, polys, width, height):
         corners = np.stack(polys)
         x0, y0, nx, ny = polygon_bboxes(corners, width, height)
-        masks, sizes = polygon_fills(corners, x0, y0, nx, ny)
-        np.testing.assert_array_equal(sizes, masks.sum(axis=(1, 2)))
+        masks = polygon_fills(corners, x0, y0, nx, ny)
         for i, c in enumerate(corners):
             bx, by, bnx, bny = polygon_bbox(c, width, height)
             assert (nx[i], ny[i]) == (bnx, bny)
@@ -445,19 +444,19 @@ class TestBatchedGeometry:
     def test_runs_bound_each_row_of_the_scalar_fill(self, polys, width, height):
         corners = np.stack(polys)
         x0, y0, nx, ny = polygon_bboxes(corners, width, height)
-        lo, hi = polygon_runs(corners, x0, y0, nx, ny)
-        assert lo.shape == hi.shape == (len(corners), ny.max())
+        ((_, lo, hi),) = polygon_run_batches(corners, x0, y0, nx, ny)
+        assert lo.shape == hi.shape == (ny.max(), len(corners))
         for i, c in enumerate(corners):
             mask = polygon_mask(c, x0[i], y0[i], nx[i], ny[i])
-            for r in range(lo.shape[1]):
+            for r in range(lo.shape[0]):
                 inside = np.flatnonzero(mask[r]) if r < ny[i] else []
                 if len(inside):
                     # the first inside column and the one past the last, with
                     # every column between them inside
-                    assert (lo[i, r], hi[i, r]) == (inside[0], inside[-1] + 1)
-                    assert hi[i, r] - lo[i, r] == len(inside)
+                    assert (lo[r, i], hi[r, i]) == (inside[0], inside[-1] + 1)
+                    assert hi[r, i] - lo[r, i] == len(inside)
                 else:
-                    assert lo[i, r] == hi[i, r]
+                    assert lo[r, i] == hi[r, i]
 
     def test_blocks_wider_than_int16_fill_exactly(self):
         # a 2 x 40,000 canvas: the quad's block spans more than 32,767 columns
@@ -465,7 +464,7 @@ class TestBatchedGeometry:
         corners = np.array([[(0.3, 0.2), (39_999.6, 0.7), (39_990.2, 1.9), (10.1, 1.6)]])
         x0, y0, nx, ny = polygon_bboxes(corners, 40_000, 2)
         assert nx[0] > 32_767
-        mask = polygon_fills(corners, x0, y0, nx, ny)[0][0]
+        mask = polygon_fills(corners, x0, y0, nx, ny)[0]
         np.testing.assert_array_equal(mask, polygon_mask(corners[0], x0[0], y0[0], nx[0], ny[0]))
         assert likelihood.region_counts(image, corners)[0, 3] == mask.sum() > 32_767
 
@@ -473,9 +472,8 @@ class TestBatchedGeometry:
         corners = np.array([[(-9.0, -9.0), (-5.0, -9.0), (-5.0, -5.0), (-9.0, -5.0)]] * 3)
         x0, y0, nx, ny = polygon_bboxes(corners, 10, 10)
         np.testing.assert_array_equal(nx, 0)
-        masks, sizes = polygon_fills(corners, x0, y0, nx, ny)
+        masks = polygon_fills(corners, x0, y0, nx, ny)
         assert masks.shape == (3, 0, 0)
-        np.testing.assert_array_equal(sizes, 0)
 
 
 
@@ -587,3 +585,22 @@ class TestEstimationError:
         shifted[:, 0] += 3.0
         shifted[:, 1] += 4.0
         assert estimation_error(model, shifted, state) == pytest.approx(3 * 4 * 5.0)
+
+    @pytest.mark.parametrize("length, width, scale", [(12.0, 6.0, 1.0), (30.0, 12.0, 5.0)])
+    def test_stacked_poses_equal_their_own_calls_bit_for_bit(self, length, width, scale):
+        model = ArticulatedModel.uniform(DbnSpec.star(4, 3), length, width)
+        rng = np.random.default_rng(5)
+        truth = [default_pose(model, (80.0 * scale, 64.0 * scale))]
+        for _ in range(11):
+            truth.append(ground_truth_step(model, truth[-1], scale, 0.025, rng))
+        truth = np.stack(truth).reshape(3, 4, model.part_count, 3)
+        noise = rng.normal(0.0, (2.0 * scale, 2.0 * scale, 0.2), truth.shape)
+        estimates = truth + noise
+        errors = estimation_error(model, estimates, truth)
+        assert errors.shape == (3, 4)
+        for i in range(3):
+            for t in range(4):
+                one = estimation_error(model, estimates[i, t], truth[i, t])
+                assert type(one) is float
+                assert one == errors[i, t]
+            np.testing.assert_array_equal(estimation_error(model, estimates[i], truth[i]), errors[i])

@@ -7,7 +7,7 @@ from xml.etree import ElementTree
 import numpy as np
 import pytest
 
-from crtrack.cli import main
+from crtrack.cli import DESK_MATRIX, DESK_SCALE, PAPER_MATRIX, main
 from crtrack.harness import (
     CSV_HEADER,
     TRACKER_OVERRIDES,
@@ -29,7 +29,7 @@ from crtrack.harness import (
     write_results_csv,
 )
 from crtrack.pgm import write_pgm
-from crtrack.tracker import TrackerConfig
+from crtrack.tracker import RESAMPLER_NAMES, TrackerConfig
 
 
 def tiny_spec(**kw):
@@ -594,6 +594,33 @@ class TestCli:
             "name": "object",
         }
         assert (tmp_path / "object.json").read_text() == json.dumps(expected, indent=2) + "\n"
+
+    @pytest.mark.parametrize(
+        "flags, seed, matrix, scale",
+        [
+            ([], 0, DESK_MATRIX, DESK_SCALE),
+            (["--paper-scale", "--seed", "7"], 7, PAPER_MATRIX, {}),
+        ],
+        ids=["desk", "paper-scale"],
+    )
+    def test_bench_default_matrix(self, tmp_path, monkeypatch, capsys, flags, seed, matrix, scale):
+        configs = []
+
+        def no_runs(config):
+            configs.append(config)
+            return BenchmarkReport([])
+
+        monkeypatch.setattr("crtrack.cli.run_benchmark", no_runs)
+        assert main(["bench", "--out", str(tmp_path / "r.csv"), *flags]) == 0
+        assert configs == [
+            {
+                "seed": seed,
+                "runs": matrix["runs"],
+                "particles": matrix["particles"],
+                "resamplers": list(RESAMPLER_NAMES),
+                "objects": [{**scale, "name": "star-4x3"}],
+            }
+        ]
 
     def test_track_without_frames_exits_two(self, tmp_path, capsys):
         rc = main(

@@ -14,7 +14,7 @@ from crtrack.geometry import (
     part_intensity,
     place_polygons,
     polygon_bboxes,
-    polygon_runs,
+    polygon_run_batches,
     render_frame,
 )
 from crtrack import likelihood
@@ -508,7 +508,9 @@ class TestRunBatches:
         for got, want in zip(boxes, polygon_bboxes(plain, 40, 30)):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
-        for got, want in zip(polygon_runs(corners, *boxes), polygon_runs(plain, *boxes)):
+        ((_, *runs),) = polygon_run_batches(corners, *boxes)
+        ((_, *plain_runs),) = polygon_run_batches(plain, *boxes)
+        for got, want in zip(runs, plain_runs):
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
         counts = region_counts(image, corners)

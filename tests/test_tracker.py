@@ -505,6 +505,13 @@ class TestTrackSequence:
         with pytest.raises(ValueError, match="frame 2 is not a 2-D uint8 array"):
             track_sequence(frames, pose, model, TrackerConfig(particle_count=3))
 
+    def test_frames_of_different_sizes_raise_before_tracking(self, untracked):
+        # a smaller frame used to track with positions off its canvas
+        model, pose, frames = self.static_sequence(frames=5)
+        frames[3] = frames[3][:10, :10]
+        with pytest.raises(ValueError, match=re.escape("frame 3 has shape (10, 10), frame 0 has (60, 80)")):
+            track_sequence(frames, pose, model, TrackerConfig(particle_count=3))
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("argument", ["initial pose", "ground truth"])
     def test_a_non_finite_pose_raises_before_tracking(self, untracked, argument, value):
